@@ -2,9 +2,7 @@
 
 from .algebra import (
     Matrix,
-    Rational,
     as_rational,
-    format_rational,
     parse_rational,
     solve_general,
     solve_upper_triangular,
@@ -29,7 +27,6 @@ from .refinement import (
     mask_from_poly,
     mask_from_poly_at_nodes,
     masks_equivalent,
-    poly_convolve_via_masks,
     poly_from_mask,
     refine_apply,
     refinement_matrix,
@@ -46,7 +43,6 @@ __all__ = [
     "NotRefinableError",
     "ParseError",
     "Polynomial",
-    "Rational",
     "ReducedMask",
     "RefinablePair",
     "RefineMaskError",
@@ -57,12 +53,10 @@ __all__ = [
     "difference_power",
     "equivalence_witness",
     "extend_mask",
-    "format_rational",
     "mask_from_poly",
     "mask_from_poly_at_nodes",
     "masks_equivalent",
     "parse_rational",
-    "poly_convolve_via_masks",
     "poly_from_mask",
     "reduce_mod_difference",
     "refine_apply",

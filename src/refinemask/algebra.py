@@ -13,11 +13,8 @@ from typing import Iterable, Sequence
 
 from .exceptions import ParseError, SingularMatrixError
 
-# Reduced numerator/denominator, positive denominator, 0/1 for zero: the
-# stdlib Fraction maintains all of these on construction.
-Rational = Fraction
-
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
+_INT_RE = re.compile(r"-?[0-9]+")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
 
 
 def as_rational(value) -> Fraction:
@@ -29,22 +26,27 @@ def as_rational(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+def _parse_int(text: str) -> int:
+    """Parse a decimal integer of ASCII digits with an optional minus sign."""
+    if _INT_RE.fullmatch(text) is None:
+        raise ParseError(f"not an integer: {text!r}")
+    try:
+        return int(text)
+    except ValueError as exc:  # more digits than the interpreter converts
+        raise ParseError(str(exc)) from None
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse ``num`` or ``num/den`` with a positive denominator.
 
-    Input need not be reduced; the result always is.  Whitespace and
-    decimal notation are rejected.
+    Input need not be reduced; the result always is.  Whitespace,
+    non-ASCII digits and decimal notation are rejected.
     """
-    match = _RATIONAL_RE.match(text)
+    match = _RATIONAL_RE.fullmatch(text)
     if match is None:
         raise ParseError(f"not a rational: {text!r}")
     num, den = match.groups()
-    return Fraction(int(num), int(den) if den else 1)
-
-
-def format_rational(value: Fraction) -> str:
-    """Canonical text form: plain integer, or ``num/den`` reduced."""
-    return str(as_rational(value))
+    return Fraction(_parse_int(num), _parse_int(den) if den else 1)
 
 
 class Matrix:

@@ -11,7 +11,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .algebra import parse_rational
+from .algebra import _parse_int, parse_rational
 from .exceptions import ParseError, RefineMaskError
 from .mask import Mask, reduce_mod_difference, refined_degree
 from .polynomial import Polynomial
@@ -32,13 +32,16 @@ EXIT_IO = 3
 
 def _parse_nodes(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",")]
-    except ValueError:
+        return [_parse_int(tok) for tok in text.split(",")]
+    except ParseError:
         raise ParseError(f"not an integer node list: {text!r}") from None
 
 
 def _float_cell(value: Fraction) -> str:
-    return format(float(value), ".12g")
+    try:
+        return format(float(value), ".12g")
+    except OverflowError:
+        raise RefineMaskError("sample value too large for a float") from None
 
 
 def _cmd_poly_from_mask(args) -> int:

@@ -15,12 +15,13 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple
 
-from .algebra import as_rational, parse_rational
+from .algebra import _parse_int, as_rational, parse_rational, solve_vandermonde_dual
 from .exceptions import NotRefinableError, ParseError
 
-_MASK_RE = re.compile(r"^(-?\d+):(.+)$")
+_MASK_RE = re.compile(r"(-?[0-9]+):(.+)")
 
 
 class Mask:
@@ -53,11 +54,11 @@ class Mask:
 
     @classmethod
     def parse(cls, text: str) -> "Mask":
-        match = _MASK_RE.match(text)
+        match = _MASK_RE.fullmatch(text)
         if match is None:
             raise ParseError(f"not a mask: {text!r}")
         offset, body = match.groups()
-        return cls(int(offset), [parse_rational(tok) for tok in body.split(",")])
+        return cls(_parse_int(offset), [parse_rational(tok) for tok in body.split(",")])
 
     # ------------------------------------------------------------------
     # inspection
@@ -87,6 +88,26 @@ class Mask:
 
     def sum(self) -> Fraction:
         return sum(self.coeffs, Fraction(0))
+
+    def moments(self, k: int) -> tuple:
+        """The moments mu_r = sum_j m_j * (-j)**r for r = 0..k, in O(width * k).
+
+        The refinement relation sees a mask only through these numbers: on
+        polynomials of degree <= n it depends on mu_0..mu_n alone, and a
+        mask is a multiple of (1,-1)**(n+1) exactly when mu_0..mu_n vanish.
+        """
+        if k < 0:
+            raise ValueError(f"moment order must be nonnegative, got {k}")
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        sums = [0] * (k + 1)
+        for j, c in self.items():
+            term = c.numerator * (den // c.denominator)
+            for r in range(k + 1):
+                if not term:
+                    break
+                sums[r] += term
+                term *= -j
+        return tuple(Fraction(s, den) for s in sums)
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -204,25 +225,15 @@ def reduce_mod_difference(m: Mask, n: int) -> ReducedMask:
     The remainder with that support is unique, so it canonically
     represents the class of m modulo multiples of (1,-1)**(n+1).
 
-    Elimination order: indices below 0 are cleared first, lowest first,
-    using the divisor copy aligned at its leading 1; then indices above n,
-    highest first, using the copy aligned at its trailing (-1)**(n+1).
-    Each step shrinks the out-of-range support, and the low passes never
-    spill above n (nor the high passes below 0), so the loop terminates.
+    A mask is such a multiple exactly when its moments mu_0..mu_n vanish,
+    so the remainder is the mask on {0..n} with the moments of m: a dual
+    Vandermonde solve on the nodes 0, -1, ..., -n.  Dividing m - remainder
+    by (1,-1) is a prefix sum, done n+1 times for the quotient.
     """
     if n < 0:
         raise ValueError(f"target degree must be nonnegative, got {n}")
-    divisor = difference_power(n + 1)
-    trailing = divisor.coefficient(n + 1)  # (-1)**(n+1)
-    remainder = m
-    quotient = Mask.zero()
-    while not remainder.is_zero and remainder.support_min < 0:
-        step = Mask.delta(remainder.support_min, remainder.coeffs[0])
-        quotient = quotient + step
-        remainder = remainder - step.convolve(divisor)
-    while not remainder.is_zero and remainder.support_max > n:
-        c = remainder.coeffs[-1] / trailing
-        step = Mask.delta(remainder.support_max - (n + 1), c)
-        quotient = quotient + step
-        remainder = remainder - step.convolve(divisor)
+    remainder = Mask(0, solve_vandermonde_dual(range(0, -n - 1, -1), m.moments(n)))
+    quotient = m - remainder
+    for _ in range(n + 1):
+        quotient = Mask(quotient.offset, accumulate(quotient.coeffs))
     return ReducedMask(remainder, quotient)

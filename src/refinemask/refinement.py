@@ -25,12 +25,9 @@ from .polynomial import Polynomial
 
 def refine_apply(m: Mask, p: Polynomial) -> Polynomial:
     """Right-hand side of the refinement relation: 2 * sum_j m_j * p(2t - j)."""
-    total = Polynomial.zero()
-    for j, c in m.items():
-        if c == 0:
-            continue
-        total = total + p.translate(j).scale(c)
-    return total.shrink(2).scale(2)
+    if p.is_zero:
+        return p
+    return Polynomial(refinement_matrix(m, p.degree).apply(p.coeffs))
 
 
 def verify_refines(m: Mask, p: Polynomial) -> bool:
@@ -41,25 +38,21 @@ def verify_refines(m: Mask, p: Polynomial) -> bool:
 def poly_from_mask(m: Mask) -> Polynomial:
     """The monic polynomial refined by m.
 
-    The mask sum fixes the degree n (it must be 2**-(n+1)).  For n = 0 the
-    answer is the constant 1.  Otherwise the doubled mask refines the
-    derivative, which is known monic of degree n-1 by induction; its
-    antiderivative Q pins down every coefficient of the answer after monic
-    rescaling, and the constant coefficient falls out of the refinement
-    relation itself:
+    The mask sum fixes the degree n (it must be 2**-(n+1)), and only the
+    moments mu_0..mu_n of m enter.  The answer is the fixed point of the
+    upper triangular refinement_matrix R with p_n = 1; row k of
+    (R - I) p = 0 gives, from the top down,
 
-        p_0 = 2 / (Q_n * (1 - 2**-n)) * sum_j m_j * Q(-j)
+        p_k = 2**(k+1) * sum_{i>k} C(i,k) * mu_{i-k} * p_i / (1 - 2**(k-n))
     """
     n = refined_degree(m)
-    if n == 0:
-        return Polynomial.one()
-    q = poly_from_mask(m.scale(2))
-    big_q = q.antiderivative()
-    lead = big_q.coefficient(n)
-    shift_sum = sum((c * big_q(-j) for j, c in m.items()), Fraction(0))
-    constant = 2 / (lead * (1 - Fraction(1, 2 ** n))) * shift_sum
-    coeffs = [constant] + [big_q.coefficient(k) / lead for k in range(1, n + 1)]
-    return Polynomial(coeffs)
+    mu = m.moments(n)
+    p = [Fraction(0)] * n + [Fraction(1)]
+    for k in range(n - 1, -1, -1):
+        acc = sum((math.comb(i, k) * mu[i - k] * p[i]
+                   for i in range(k + 1, n + 1) if mu[i - k] and p[i]), Fraction(0))
+        p[k] = 2 ** (k + 1) * acc / (1 - Fraction(1, 2 ** (n - k)))
+    return Polynomial(p)
 
 
 def _padded(p: Polynomial, size: int) -> list:
@@ -70,27 +63,11 @@ def _padded(p: Polynomial, size: int) -> list:
 def mask_from_poly(p: Polynomial) -> Mask:
     """The unique mask supported in {0..n} refining p, n = degree(p).
 
-    Solves p = 2 * shrink_2(P m) where P has columns p(t - i), i = 0..n,
-    without ever forming P: the columns of iterated finite differences of
-    p give an anti-triangular system solved by back-substitution, and the
-    change of basis back to shifted copies of p is n passes of adjacent
-    differences.  The zero polynomial is refined by every mask and is
-    rejected.
+    Only the moments mu_0..mu_n of a mask act on p, and n+1 moments fix a
+    mask on n+1 nodes, so this is mask_from_poly_at_nodes on 0..n.  The
+    zero polynomial is refined by every mask and is rejected.
     """
-    if p.is_zero:
-        raise ValueError("zero polynomial: every mask refines it")
-    n = p.degree
-    diffs = [p]
-    for _ in range(n):
-        diffs.append(diffs[-1].finite_difference())
-    # columns reversed so back-substitution sees a genuine upper triangle
-    u = Matrix.from_columns([_padded(diffs[n - k], n + 1) for k in range(n + 1)])
-    b = [c / 2 for c in _padded(p.shrink(Fraction(1, 2)), n + 1)]
-    y = list(reversed(solve_upper_triangular(u, b)))
-    for j in range(n, 0, -1):
-        for i in range(j - 1, n):
-            y[i] -= y[i + 1]
-    return Mask(0, y)
+    return mask_from_poly_at_nodes(p, range(len(p.coeffs)))
 
 
 def mask_from_poly_at_nodes(p: Polynomial, nodes: Sequence[int]) -> Mask:
@@ -172,7 +149,7 @@ def antiderivative_constant(m: Mask, phi: Polynomial) -> IntegrationConstant:
     With s = sum of m and F the antiderivative of phi (constant term 0),
     the refinement relation for F + c collapses to
 
-        c * (1 - s) = sum_j m_j * F(-j).
+        c * (1 - s) = sum_j m_j * F(-j) = sum_i F_i * mu_i.
 
     s != 1 gives a unique c.  s = 1 leaves c free when the right side
     vanishes and admits no c otherwise; those two branches are decided by
@@ -181,7 +158,8 @@ def antiderivative_constant(m: Mask, phi: Polynomial) -> IntegrationConstant:
     """
     s = m.sum()
     big_f = phi.antiderivative()
-    shift_sum = sum((c * big_f(-j) for j, c in m.items()), Fraction(0))
+    mu = m.moments(len(big_f.coeffs) - 1)
+    shift_sum = sum((f * u for f, u in zip(big_f.coeffs, mu)), Fraction(0))
     if s == 1:
         if shift_sum == 0:
             return IntegrationConstant.arbitrary()
@@ -275,20 +253,10 @@ def refinement_matrix(m: Mask, n: int) -> Matrix:
     """
     if n < 0:
         raise ValueError(f"degree bound must be nonnegative, got {n}")
-    size = n + 1
-    entries = []
-    for j in range(size):
-        for k in range(size):
-            if j > k:
-                entries.append(Fraction(0))
-                continue
-            acc = Fraction(0)
-            for i, c in m.items():
-                if c == 0:
-                    continue
-                acc += c * Fraction(-i) ** (k - j)
-            entries.append(Fraction(2) ** (j + 1) * math.comb(k, j) * acc)
-    return Matrix(size, size, entries)
+    mu = m.moments(n)
+    entries = [Fraction(2) ** (j + 1) * math.comb(k, j) * mu[k - j] if j <= k else Fraction(0)
+               for j in range(n + 1) for k in range(n + 1)]
+    return Matrix(n + 1, n + 1, entries)
 
 
 @dataclass(frozen=True)
@@ -333,18 +301,3 @@ def cascade(m: Mask, p0: Polynomial, max_iter: int = 200,
         if delta < tol:
             return CascadeReport(Polynomial(current), step, delta, True)
     return CascadeReport(Polynomial(current), max_iter, delta, False)
-
-
-# ----------------------------------------------------------------------
-# experimental: polynomial convolution pulled back through masks
-
-
-def poly_convolve_via_masks(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Convolve the canonical masks of p and q, then read the result back.
-
-    Experimental composition: mask convolution corresponds to function
-    convolution of the refinable functions, not to any polynomial product,
-    and the degree comes out as degree(p) + degree(q) + 1.  The result is
-    monic like every poly_from_mask output.
-    """
-    return poly_from_mask(mask_from_poly(p).convolve(mask_from_poly(q)))

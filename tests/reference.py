@@ -1,0 +1,66 @@
+"""Slow, independent routes kept as oracles for the moment-based library code.
+
+Each function is a direct transcription of the refinement relation rather
+than of its moment form: per-shift Taylor translates, the derivative
+recursion, and division by (1,-1)**(n+1) through elimination.
+"""
+
+from fractions import Fraction
+
+from refinemask import Mask, Polynomial, ReducedMask, difference_power, refined_degree
+
+
+def refine_apply(m: Mask, p: Polynomial) -> Polynomial:
+    """2 * sum_j m_j * p(2t - j), summed shift by shift."""
+    total = Polynomial.zero()
+    for j, c in m.items():
+        if c == 0:
+            continue
+        total = total + p.translate(j).scale(c)
+    return total.shrink(2).scale(2)
+
+
+def poly_from_mask(m: Mask) -> Polynomial:
+    """The monic polynomial refined by m, through the derivative relation.
+
+    The doubled mask refines the derivative, monic of degree n-1 by
+    induction; its antiderivative Q fixes every coefficient of the answer
+    after monic rescaling, and the constant coefficient falls out of the
+    refinement relation itself:
+
+        p_0 = 2 / (Q_n * (1 - 2**-n)) * sum_j m_j * Q(-j)
+    """
+    n = refined_degree(m)
+    if n == 0:
+        return Polynomial.one()
+    q = poly_from_mask(m.scale(2))
+    big_q = q.antiderivative()
+    lead = big_q.coefficient(n)
+    shift_sum = sum((c * big_q(-j) for j, c in m.items()), Fraction(0))
+    constant = 2 / (lead * (1 - Fraction(1, 2 ** n))) * shift_sum
+    coeffs = [constant] + [big_q.coefficient(k) / lead for k in range(1, n + 1)]
+    return Polynomial(coeffs)
+
+
+def reduce_mod_difference(m: Mask, n: int) -> ReducedMask:
+    """Divide a mask by (1,-1)**(n+1) through elimination.
+
+    Indices below 0 are cleared first, lowest first, using the divisor copy
+    aligned at its leading 1; then indices above n, highest first, using the
+    copy aligned at its trailing (-1)**(n+1).  Each step shrinks the
+    out-of-range support, so the loop terminates.
+    """
+    divisor = difference_power(n + 1)
+    trailing = divisor.coefficient(n + 1)
+    remainder = m
+    quotient = Mask.zero()
+    while not remainder.is_zero and remainder.support_min < 0:
+        step = Mask.delta(remainder.support_min, remainder.coeffs[0])
+        quotient = quotient + step
+        remainder = remainder - step.convolve(divisor)
+    while not remainder.is_zero and remainder.support_max > n:
+        c = remainder.coeffs[-1] / trailing
+        step = Mask.delta(remainder.support_max - (n + 1), c)
+        quotient = quotient + step
+        remainder = remainder - step.convolve(divisor)
+    return ReducedMask(remainder, quotient)

@@ -37,6 +37,19 @@ def test_poly_from_mask_parse_failure(capsys):
     assert "error" in err
 
 
+def test_poly_from_mask_deep_degree(capsys):
+    # degree 1199: far deeper than any recursion limit
+    code, out, err = run(capsys, "poly-from-mask", f"0:1/{2 ** 1200}")
+    assert (code, err) == (0, "")
+    assert Polynomial.parse(out.strip()) == Polynomial.monomial(1199)
+
+
+def test_oversized_coefficient_is_parse_error(capsys):
+    code, out, err = run(capsys, "poly-from-mask", "0:1/" + "1" * 5000)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 def test_mask_from_poly(capsys):
     assert run(capsys, "mask-from-poly", "5/2,-3,1") == (0, "0:1/32,0,3/32\n", "")
 
@@ -54,6 +67,9 @@ def test_mask_from_poly_bad_nodes(capsys):
     assert code == 1
     code, _, err = run(capsys, "mask-from-poly", "5/2,-3,1", "--nodes", "0,1,x")
     assert code == 2
+    for nodes in ["0,1_0,2", "0, 1,2", "0,\u0661,2", "0,+1,2"]:
+        code, out, err = run(capsys, "mask-from-poly", "5/2,-3,1", "--nodes", nodes)
+        assert (code, out) == (2, "")
 
 
 def test_mask_from_poly_zero_polynomial(capsys):
@@ -188,6 +204,13 @@ def test_render_csv_rejects_invalid_mask(capsys):
     code, _, err = run(capsys, "render-csv", "0:1,1")
     assert code == 1
     assert "mask does not refine a polynomial" in err
+
+
+def test_render_csv_sample_beyond_float_range(capsys):
+    code, out, err = run(capsys, "render-csv", "0:1/2",
+                         "--t-max", "1" + "0" * 400, "--samples", "2")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
 
 
 def test_render_csv_single_sample(capsys):

@@ -59,7 +59,9 @@ def test_parse_normalizes():
     assert Mask.parse("0:0,0") == Mask.zero()
 
 
-@pytest.mark.parametrize("bad", ["", "1,2,3", "0:", "0:1;2", "x:1", "0:1/0", "0: 1", "0:1.5"])
+@pytest.mark.parametrize("bad", ["", "1,2,3", "0:", "0:1;2", "x:1", "0:1/0", "0: 1", "0:1.5",
+                                 "0:1\n", "\u0663:1/2",
+                                 pytest.param("0:" + "1" * 5000, id="5000-digits")])
 def test_parse_rejects(bad):
     with pytest.raises(ParseError):
         Mask.parse(bad)

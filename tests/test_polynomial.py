@@ -44,7 +44,7 @@ def test_text_round_trip():
         assert Polynomial.parse(str(p)) == p
 
 
-@pytest.mark.parametrize("bad", ["", "1,,2", "1;2", "1, 2", "t"])
+@pytest.mark.parametrize("bad", ["", "1,,2", "1;2", "1, 2", "t", "1,2\n"])
 def test_parse_rejects(bad):
     with pytest.raises(ParseError):
         Polynomial.parse(bad)

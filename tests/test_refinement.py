@@ -18,7 +18,6 @@ from refinemask import (
     mask_from_poly,
     mask_from_poly_at_nodes,
     masks_equivalent,
-    poly_convolve_via_masks,
     poly_from_mask,
     reduce_mod_difference,
     refine_apply,
@@ -26,6 +25,7 @@ from refinemask import (
     refinement_matrix,
     verify_refines,
 )
+import reference
 from util import rand_fraction, rand_mask, rand_monic_poly, rand_poly, rand_valid_mask
 
 BSPLINE = Mask.parse("0:1/64,3/64,3/64,1/64")
@@ -68,6 +68,23 @@ def test_verify_refines_zero_polynomial():
     # the zero polynomial is a fixed point for every mask
     assert verify_refines(BSPLINE, Polynomial.zero())
     assert verify_refines(Mask.delta(3, F(9)), Polynomial.zero())
+
+
+def test_moment_routes_match_reference():
+    # the moment kernel against the derivative recursion, elimination and
+    # per-shift Taylor translates, on wide masks far from the origin
+    rng = random.Random(139)
+    for _ in range(60):
+        m = rand_valid_mask(rng, max_degree=8, max_width=40).translate(rng.randint(-20, 20))
+        n = refined_degree(m)
+        assert poly_from_mask(m) == reference.poly_from_mask(m)
+        assert reduce_mod_difference(m, n) == reference.reduce_mod_difference(m, n)
+    for _ in range(60):
+        m = rand_mask(rng, max_width=40).translate(rng.randint(-20, 20))
+        n = rng.randint(0, 8)
+        p = rand_poly(rng, n)
+        assert reduce_mod_difference(m, n) == reference.reduce_mod_difference(m, n)
+        assert refine_apply(m, p) == reference.refine_apply(m, p)
 
 
 # ----------------------------------------------------------------------
@@ -522,28 +539,3 @@ def test_cascade_contraction_envelope():
     for j in range(10, 20):
         ratio = errors[j + 1] / errors[j]
         assert F(2, 5) <= ratio <= F(3, 5)
-
-
-# ----------------------------------------------------------------------
-# experimental convolution route
-
-
-def test_convolution_route_trivial():
-    assert poly_convolve_via_masks(Polynomial.one(), Polynomial.one()) == Polynomial.parse("0,1")
-
-
-def test_convolution_route_degree_law():
-    rng = random.Random(131)
-    for _ in range(25):
-        p = rand_poly(rng, rng.randint(0, 3))
-        q = rand_poly(rng, rng.randint(0, 3))
-        out = poly_convolve_via_masks(p, q)
-        assert out.degree == p.degree + q.degree + 1
-        assert out.coeffs[-1] == 1
-        assert verify_refines(mask_from_poly(p).convolve(mask_from_poly(q)), out)
-
-
-def test_convolution_route_degree_one_inputs():
-    out = poly_convolve_via_masks(Polynomial.parse("-3/2,1"), Polynomial.parse("0,1"))
-    assert out.degree == 3
-    assert out.coeffs[-1] == 1
