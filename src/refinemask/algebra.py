@@ -7,6 +7,7 @@ solvers favour clarity over asymptotics.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -24,6 +25,12 @@ def as_rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def _common_denominator(values: Sequence[Fraction]) -> tuple:
+    """Rationals as (numerators, den) over their least common denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _parse_int(text: str) -> int:

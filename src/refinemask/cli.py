@@ -99,10 +99,17 @@ def _cmd_cascade(args) -> int:
     else:
         start = Polynomial.parse(args.p0)
     report = cascade(m, start, max_iter=args.max_iter, tol=tol)
-    print(f"iterations: {report.iterations}")
-    print(f"final_delta: {report.final_delta}")
-    print(f"converged: {'true' if report.converged else 'false'}")
-    print(f"result: {report.result}")
+    try:
+        text = (f"iterations: {report.iterations}\n"
+                f"final_delta: {report.final_delta}\n"
+                f"converged: {'true' if report.converged else 'false'}\n"
+                f"result: {report.result}\n")
+    except ValueError:  # an integer too long for str(), which parsing rejects too
+        raise RefineMaskError(
+            f"result has integers over the {sys.get_int_max_str_digits()}-digit "
+            "limit for printing; use a smaller --max-iter or a larger --tol"
+        ) from None
+    sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -18,7 +18,13 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple
 
-from .algebra import _parse_int, as_rational, parse_rational, solve_vandermonde_dual
+from .algebra import (
+    _common_denominator,
+    _parse_int,
+    as_rational,
+    parse_rational,
+    solve_vandermonde_dual,
+)
 from .exceptions import NotRefinableError, ParseError
 
 _MASK_RE = re.compile(r"(-?[0-9]+):(.+)")
@@ -96,18 +102,22 @@ class Mask:
         polynomials of degree <= n it depends on mu_0..mu_n alone, and a
         mask is a multiple of (1,-1)**(n+1) exactly when mu_0..mu_n vanish.
         """
+        sums, den = self._moment_sums(k)
+        return tuple(Fraction(s, den) for s in sums)
+
+    def _moment_sums(self, k: int) -> tuple:
+        """The moments as integers over one positive denominator: (sums, den)."""
         if k < 0:
             raise ValueError(f"moment order must be nonnegative, got {k}")
-        den = math.lcm(*(c.denominator for c in self.coeffs))
+        nums, den = _common_denominator(self.coeffs)
         sums = [0] * (k + 1)
-        for j, c in self.items():
-            term = c.numerator * (den // c.denominator)
+        for j, term in enumerate(nums, start=self.offset):
             for r in range(k + 1):
                 if not term:
                     break
                 sums[r] += term
                 term *= -j
-        return tuple(Fraction(s, den) for s in sums)
+        return sums, den
 
     # ------------------------------------------------------------------
     # arithmetic

@@ -14,20 +14,48 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import Matrix, as_rational, solve_upper_triangular, solve_vandermonde_dual
+from .algebra import (
+    Matrix,
+    _common_denominator,
+    as_rational,
+    solve_upper_triangular,
+    solve_vandermonde_dual,
+)
 from .exceptions import NotRefinableError
 from .mask import Mask, difference_power, reduce_mod_difference, refined_degree
 from .polynomial import Polynomial
+
+
+def _integer_operator(m: Mask, n: int) -> tuple:
+    """The refinement operator on degree-<=n coefficients as (d, rows).
+
+    Entry (j, k) of the operator is 2**(j+1) * C(k,j) * mu_{k-j}; here it
+    is a / d with one positive denominator d, lowered by the content of
+    all numerators.  Row j lists the pairs (a, k), k >= j, whose moment is
+    nonzero, so the operator is upper triangular and sparse rows stay so.
+    """
+    sums, den = m._moment_sums(n)
+    rows = [[(2 ** (j + 1) * math.comb(k, j) * sums[k - j], k)
+             for k in range(j, n + 1) if sums[k - j]] for j in range(n + 1)]
+    g = math.gcd(den, *(a for row in rows for a, _ in row))
+    return den // g, [[(a // g, k) for a, k in row] for row in rows]
+
+
+def _apply(rows: list, x: list) -> list:
+    return [sum(a * x[k] for a, k in row) for row in rows]
 
 
 def refine_apply(m: Mask, p: Polynomial) -> Polynomial:
     """Right-hand side of the refinement relation: 2 * sum_j m_j * p(2t - j)."""
     if p.is_zero:
         return p
-    return Polynomial(refinement_matrix(m, p.degree).apply(p.coeffs))
+    d, rows = _integer_operator(m, p.degree)
+    x, e = _common_denominator(p.coeffs)
+    return Polynomial(Fraction(y, d * e) for y in _apply(rows, x))
 
 
 def verify_refines(m: Mask, p: Polynomial) -> bool:
@@ -40,18 +68,19 @@ def poly_from_mask(m: Mask) -> Polynomial:
 
     The mask sum fixes the degree n (it must be 2**-(n+1)), and only the
     moments mu_0..mu_n of m enter.  The answer is the fixed point of the
-    upper triangular refinement_matrix R with p_n = 1; row k of
-    (R - I) p = 0 gives, from the top down,
+    upper triangular operator A / d with p_n = 1; row k of A p = d p gives,
+    from the top down,
 
-        p_k = 2**(k+1) * sum_{i>k} C(i,k) * mu_{i-k} * p_i / (1 - 2**(k-n))
+        p_k = sum_{i>k} A_ki * p_i / (d - A_kk)
+
+    where A_kk / d = 2**(k-n) is never 1 below the top row.
     """
     n = refined_degree(m)
-    mu = m.moments(n)
+    d, rows = _integer_operator(m, n)
     p = [Fraction(0)] * n + [Fraction(1)]
     for k in range(n - 1, -1, -1):
-        acc = sum((math.comb(i, k) * mu[i - k] * p[i]
-                   for i in range(k + 1, n + 1) if mu[i - k] and p[i]), Fraction(0))
-        p[k] = 2 ** (k + 1) * acc / (1 - Fraction(1, 2 ** (n - k)))
+        (diag, _), *rest = rows[k]
+        p[k] = Fraction(sum(a * p[i] for a, i in rest), d - diag)
     return Polynomial(p)
 
 
@@ -115,32 +144,39 @@ def mask_from_poly_at_nodes(p: Polynomial, nodes: Sequence[int]) -> Mask:
 class IntegrationConstant:
     """Outcome of asking which constant makes an antiderivative refinable.
 
-    kind is one of "unique", "arbitrary", "none"; value is set only for
-    the unique case.
+    kind is a Kind; value is set only for the unique case.
     """
 
-    kind: str
+    class Kind(str, Enum):
+        UNIQUE = "unique"
+        ARBITRARY = "arbitrary"
+        NONE = "none"
+
+    kind: Kind
     value: Fraction | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "kind", self.Kind(self.kind))
 
     @classmethod
     def unique(cls, value) -> "IntegrationConstant":
-        return cls("unique", as_rational(value))
+        return cls(cls.Kind.UNIQUE, as_rational(value))
 
     @classmethod
     def arbitrary(cls) -> "IntegrationConstant":
-        return cls("arbitrary")
+        return cls(cls.Kind.ARBITRARY)
 
     @classmethod
     def none(cls) -> "IntegrationConstant":
-        return cls("none")
+        return cls(cls.Kind.NONE)
 
     @property
     def is_unique(self) -> bool:
-        return self.kind == "unique"
+        return self.kind is self.Kind.UNIQUE
 
     @property
     def is_arbitrary(self) -> bool:
-        return self.kind == "arbitrary"
+        return self.kind is self.Kind.ARBITRARY
 
 
 def antiderivative_constant(m: Mask, phi: Polynomial) -> IntegrationConstant:
@@ -201,7 +237,7 @@ class RefinablePair:
         it is arbitrary the choice made here is 0.
         """
         choice = antiderivative_constant(self.mask, self.poly)
-        if choice.kind == "none":
+        if choice.kind is IntegrationConstant.Kind.NONE:
             raise NotRefinableError("no integration constant makes the pair refinable")
         c = choice.value if choice.is_unique else Fraction(0)
         shifted = self.poly.antiderivative() + Polynomial((c,))
@@ -253,9 +289,11 @@ def refinement_matrix(m: Mask, n: int) -> Matrix:
     """
     if n < 0:
         raise ValueError(f"degree bound must be nonnegative, got {n}")
-    mu = m.moments(n)
-    entries = [Fraction(2) ** (j + 1) * math.comb(k, j) * mu[k - j] if j <= k else Fraction(0)
-               for j in range(n + 1) for k in range(n + 1)]
+    d, rows = _integer_operator(m, n)
+    entries = [Fraction(0)] * (n + 1) ** 2
+    for j, row in enumerate(rows):
+        for a, k in row:
+            entries[j * (n + 1) + k] = Fraction(a, d)
     return Matrix(n + 1, n + 1, entries)
 
 
@@ -284,6 +322,10 @@ def cascade(m: Mask, p0: Polynomial, max_iter: int = 200,
     refined polynomial at a factor-of-two rate.  A start polynomial of
     degree above the mask's refined degree is rejected; lower-degree
     starts are padded (they can only sink toward zero).
+
+    With the operator as A / d, iterate k is x / s for the integer vector
+    x = A**k * x0 and s = s0 * d**k, so each step is integer arithmetic
+    and the stopping test compares integers.
     """
     n = refined_degree(m)
     tol = as_rational(tol)
@@ -291,13 +333,14 @@ def cascade(m: Mask, p0: Polynomial, max_iter: int = 200,
         raise ValueError(f"max_iter must be positive, got {max_iter}")
     if p0.degree is not None and p0.degree > n:
         raise ValueError(f"start polynomial degree {p0.degree} exceeds mask degree {n}")
-    operator = refinement_matrix(m, n)
-    current = tuple(_padded(p0, n + 1))
-    delta = Fraction(0)
+    d, rows = _integer_operator(m, n)
+    x, s = _common_denominator(_padded(p0, n + 1))
     for step in range(1, max_iter + 1):
-        nxt = operator.apply(current)
-        delta = max(abs(a - b) for a, b in zip(nxt, current))
-        current = nxt
-        if delta < tol:
-            return CascadeReport(Polynomial(current), step, delta, True)
-    return CascadeReport(Polynomial(current), max_iter, delta, False)
+        y = _apply(rows, x)
+        diff = max(abs(b - d * a) for a, b in zip(x, y))
+        x, s = y, s * d
+        converged = diff * tol.denominator < tol.numerator * s
+        if converged:
+            break
+    return CascadeReport(Polynomial(Fraction(a, s) for a in x), step,
+                         Fraction(diff, s), converged)

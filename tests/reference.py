@@ -2,12 +2,21 @@
 
 Each function is a direct transcription of the refinement relation rather
 than of its moment form: per-shift Taylor translates, the derivative
-recursion, and division by (1,-1)**(n+1) through elimination.
+recursion, division by (1,-1)**(n+1) through elimination, and a cascade
+over Fraction matrices.
 """
 
 from fractions import Fraction
 
-from refinemask import Mask, Polynomial, ReducedMask, difference_power, refined_degree
+from refinemask import (
+    CascadeReport,
+    Mask,
+    Matrix,
+    Polynomial,
+    ReducedMask,
+    difference_power,
+    refined_degree,
+)
 
 
 def refine_apply(m: Mask, p: Polynomial) -> Polynomial:
@@ -64,3 +73,27 @@ def reduce_mod_difference(m: Mask, n: int) -> ReducedMask:
         quotient = quotient + step
         remainder = remainder - step.convolve(divisor)
     return ReducedMask(remainder, quotient)
+
+
+def cascade(m: Mask, p0: Polynomial, max_iter: int, tol: Fraction) -> CascadeReport:
+    """Iterate the refinement operator with Fraction arithmetic until delta < tol.
+
+    The operator's column k is refine_apply(m, t**k), per-shift translates
+    padded to degree n.
+    """
+    n = refined_degree(m)
+
+    def padded(p: Polynomial) -> list:
+        return list(p.coeffs) + [Fraction(0)] * (n + 1 - len(p.coeffs))
+
+    operator = Matrix.from_columns(
+        [padded(refine_apply(m, Polynomial.monomial(k))) for k in range(n + 1)])
+    current = tuple(padded(p0))
+    delta = Fraction(0)
+    for step in range(1, max_iter + 1):
+        nxt = operator.apply(current)
+        delta = max(abs(a - b) for a, b in zip(nxt, current))
+        current = nxt
+        if delta < tol:
+            return CascadeReport(Polynomial(current), step, delta, True)
+    return CascadeReport(Polynomial(current), max_iter, delta, False)

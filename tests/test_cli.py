@@ -152,6 +152,22 @@ def test_cascade_bad_tolerance(capsys):
     assert code == 2
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="interpreter has no digit limit for str(int)")
+def test_cascade_result_over_digit_limit(capsys):
+    # 2000 steps push the result's integers past the str(int) limit: the
+    # report must fail whole, not after printing its first line
+    mask = ("0:1/31744,1/95232,1/23808,1/95232,5/95232,3/31744,1/47616,1/15872,"
+            "5/95232,1/31744,5/95232,1/11904,3/31744,7/95232,3/31744,1/31744,"
+            "1/47616,1/31744,1/11904")
+    code, out, err = run(capsys, "cascade", mask, "--max-iter", "2000",
+                         "--tol", f"1/{2 ** 8000}")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "digit limit" in err and "--max-iter" in err
+    assert "Traceback" not in err
+
+
 def test_printed_values_reparse(capsys):
     # every printed mask or polynomial is parseable back to an equal value
     cases = [

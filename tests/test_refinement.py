@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from refinemask import (
+    IntegrationConstant,
     Mask,
     NotRefinableError,
     Polynomial,
@@ -85,6 +86,10 @@ def test_moment_routes_match_reference():
         p = rand_poly(rng, n)
         assert reduce_mod_difference(m, n) == reference.reduce_mod_difference(m, n)
         assert refine_apply(m, p) == reference.refine_apply(m, p)
+        operator = refinement_matrix(m, n)
+        for k in range(n + 1):
+            image = reference.refine_apply(m, Polynomial.monomial(k))
+            assert list(operator.column(k)) == padded(image, n + 1)
 
 
 # ----------------------------------------------------------------------
@@ -237,6 +242,15 @@ def test_integration_constant_none():
     # sum-1 mask whose shift sum is -1, so no constant satisfies 0 = -1
     choice = antiderivative_constant(Mask.delta(1), Polynomial.one())
     assert choice.kind == "none"
+
+
+def test_integration_constant_kind_is_an_enum():
+    kind = IntegrationConstant.Kind
+    assert antiderivative_constant(Mask.delta(1), Polynomial.one()).kind is kind.NONE
+    assert IntegrationConstant("unique", F(1)) == IntegrationConstant.unique(1)
+    assert IntegrationConstant("unique", F(1)).kind is kind.UNIQUE
+    with pytest.raises(ValueError):
+        IntegrationConstant("sometimes")
 
 
 def test_integration_constant_requires_refinable_pair():
@@ -521,6 +535,26 @@ def test_cascade_keeps_leading_coefficient():
         n = refined_degree(m)
         report = cascade(m, Polynomial.monomial(n), max_iter=20, tol=F(1, 2 ** 200))
         assert report.result.coefficient(n) == 1
+
+
+def test_cascade_matches_reference():
+    # the integer iteration against Fraction matrices built from per-shift
+    # translates: every report field, converged or out of budget
+    rng = random.Random(131)
+    tolerances = [F(1, 2 ** 40), F(1, 2 ** 400), F(1, 3), F(7, 5), F(2, 1000)]
+    for _ in range(120):
+        m = rand_valid_mask(rng, max_degree=9, max_width=12).translate(rng.randint(-20, 20))
+        n = refined_degree(m)
+        start = rng.choice([Polynomial.monomial(n), Polynomial.zero(),
+                            rand_poly(rng, rng.randint(0, n))])
+        tol = rng.choice(tolerances)
+        budget = rng.randint(1, 60)
+        got = cascade(m, start, budget, tol)
+        assert got == reference.cascade(m, start, budget, tol)
+        if got.final_delta:
+            # a tolerance equal to a delta that occurs pins the strict test
+            tol = got.final_delta
+            assert cascade(m, start, budget, tol) == reference.cascade(m, start, budget, tol)
 
 
 def test_cascade_contraction_envelope():
