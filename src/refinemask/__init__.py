@@ -4,7 +4,6 @@ from .algebra import (
     Matrix,
     as_rational,
     parse_rational,
-    solve_general,
     solve_upper_triangular,
     solve_vandermonde_dual,
 )
@@ -15,7 +14,7 @@ from .exceptions import (
     SingularMatrixError,
 )
 from .mask import Mask, ReducedMask, difference_power, reduce_mod_difference, refined_degree
-from .polynomial import Polynomial, shifted_poly_matrix
+from .polynomial import Polynomial
 from .refinement import (
     CascadeReport,
     IntegrationConstant,
@@ -62,8 +61,6 @@ __all__ = [
     "refine_apply",
     "refined_degree",
     "refinement_matrix",
-    "shifted_poly_matrix",
-    "solve_general",
     "solve_upper_triangular",
     "solve_vandermonde_dual",
     "verify_refines",

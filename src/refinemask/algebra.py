@@ -1,8 +1,8 @@
 """Exact rational scalars and small dense matrices over them.
 
-Everything here computes over ``fractions.Fraction``; nothing is ever
-rounded.  The matrices involved stay tiny (a handful of rows), so the
-solvers favour clarity over asymptotics.
+Everything here is exact, ``fractions.Fraction`` or integers over one
+denominator; nothing is ever rounded.  The matrices involved stay tiny
+(a handful of rows), so the solvers favour clarity over asymptotics.
 """
 
 from __future__ import annotations
@@ -171,71 +171,39 @@ def solve_upper_triangular(u: Matrix, b: Sequence) -> tuple:
     return tuple(x)
 
 
-def solve_general(a: Matrix, b: Sequence) -> tuple:
-    """Exact Gaussian elimination with row pivoting on the first nonzero.
-
-    Brute force on purpose: this is the reference route that structured
-    solvers elsewhere in the package are checked against.
-    """
-    if a.rows != a.cols:
-        raise ValueError(f"matrix is not square: {a.rows}x{a.cols}")
-    n = a.rows
-    rhs = [as_rational(x) for x in b]
-    if len(rhs) != n:
-        raise ValueError(f"dimension mismatch: {n}x{n} system with vector[{len(rhs)}]")
-    aug = [list(a.row(i)) + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrixError(f"no pivot in column {col}")
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        for r in range(col + 1, n):
-            factor = aug[r][col] / aug[col][col]
-            if factor == 0:
-                continue
-            for c in range(col, n + 1):
-                aug[r][c] -= factor * aug[col][c]
-    x = [Fraction(0)] * n
-    for i in reversed(range(n)):
-        acc = aug[i][n]
-        for k in range(i + 1, n):
-            acc -= aug[i][k] * x[k]
-        x[i] = acc / aug[i][i]
-    return tuple(x)
-
-
 def solve_vandermonde_dual(nodes: Sequence, moments: Sequence) -> tuple:
     """Solve the dual Vandermonde system sum_j nodes[j]**i * w[j] = moments[i].
 
     Works through the Lagrange basis for the nodes: w[j] is the moment
     functional applied to the j-th basis polynomial, whose coefficients are
     obtained exactly by deflating the master product polynomial.  Distinct
-    nodes are required.
+    nodes are required.  With integer nodes and the moments over one
+    denominator, everything before the final weights is integer arithmetic.
     """
-    xs = [as_rational(x) for x in nodes]
-    ms = [as_rational(m) for m in moments]
+    xs = [x if isinstance(x, int) else as_rational(x) for x in nodes]
+    ms, den = _common_denominator([as_rational(m) for m in moments])
     n = len(xs)
     if len(ms) != n:
         raise ValueError(f"dimension mismatch: {n} nodes with vector[{len(ms)}]")
     if len(set(xs)) != n:
         raise SingularMatrixError("repeated node")
     # master(x) = prod (x - x_k), coefficients ascending
-    master = [Fraction(1)]
+    master = [1]
     for x in xs:
-        master = [Fraction(0)] + master
+        master = [0] + master
         for i in range(len(master) - 1):
             master[i] -= x * master[i + 1]
     weights = []
     for xj in xs:
         # deflate by (x - xj): synthetic division, remainder is zero
-        q = [Fraction(0)] * n
+        q = [0] * n
         q[n - 1] = master[n]
         for i in range(n - 1, 0, -1):
             q[i - 1] = master[i] + xj * q[i]
-        denom = Fraction(0)
-        power = Fraction(1)
+        denom = 0
+        power = 1
         for c in q:
             denom += c * power
             power *= xj
-        weights.append(sum((c * m for c, m in zip(q, ms)), Fraction(0)) / denom)
+        weights.append(Fraction(sum(c * m for c, m in zip(q, ms)), denom * den))
     return tuple(weights)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .algebra import _parse_int, parse_rational
 from .exceptions import ParseError, RefineMaskError
-from .mask import Mask, reduce_mod_difference, refined_degree
+from .mask import Mask, refined_degree
 from .polynomial import Polynomial
 from .refinement import (
     cascade,
@@ -84,7 +84,9 @@ def _cmd_equiv(args) -> int:
 def _cmd_reduce(args) -> int:
     m = Mask.parse(args.mask)
     n = refined_degree(m)
-    print(reduce_mod_difference(m, n).remainder)
+    # the remainder alone: the mask on 0..n with the moments of m; the
+    # quotient reduce_mod_difference also builds can be as wide as m
+    print(Mask._with_moments(range(n + 1), m.moments(n)))
     return EXIT_OK
 
 

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .algebra import (
     _common_denominator,
@@ -118,6 +119,18 @@ class Mask:
                 sums[r] += term
                 term *= -j
         return sums, den
+
+    @classmethod
+    def _with_moments(cls, nodes: Sequence[int], moments: Sequence) -> "Mask":
+        """The mask on k+1 distinct integer nodes with moments mu_0..mu_k."""
+        lo, hi = min(nodes), max(nodes)
+        if hi - lo >= sys.maxsize:
+            raise ValueError(f"nodes span {hi - lo + 1} indices, too wide for a dense mask")
+        weights = solve_vandermonde_dual([-j for j in nodes], moments)
+        out = [Fraction(0)] * (hi - lo + 1)
+        for j, w in zip(nodes, weights):
+            out[j - lo] = w
+        return cls(lo, out)
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -236,13 +249,13 @@ def reduce_mod_difference(m: Mask, n: int) -> ReducedMask:
     represents the class of m modulo multiples of (1,-1)**(n+1).
 
     A mask is such a multiple exactly when its moments mu_0..mu_n vanish,
-    so the remainder is the mask on {0..n} with the moments of m: a dual
-    Vandermonde solve on the nodes 0, -1, ..., -n.  Dividing m - remainder
-    by (1,-1) is a prefix sum, done n+1 times for the quotient.
+    so the remainder is the mask on {0..n} with the moments of m.
+    Dividing m - remainder by (1,-1) is a prefix sum, done n+1 times for
+    the quotient.
     """
     if n < 0:
         raise ValueError(f"target degree must be nonnegative, got {n}")
-    remainder = Mask(0, solve_vandermonde_dual(range(0, -n - 1, -1), m.moments(n)))
+    remainder = Mask._with_moments(range(n + 1), m.moments(n))
     quotient = m - remainder
     for _ in range(n + 1):
         quotient = Mask(quotient.offset, accumulate(quotient.coeffs))

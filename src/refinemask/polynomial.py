@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from .algebra import Matrix, as_rational, parse_rational
+from .algebra import as_rational, parse_rational
 from .exceptions import ParseError
 
 
@@ -160,16 +160,3 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial.parse({str(self)!r})"
-
-
-def shifted_poly_matrix(p: Polynomial) -> Matrix:
-    """Square matrix whose column i holds the coefficients of p(t - i).
-
-    Columns run i = 0..degree(p).  Every column keeps the leading
-    coefficient of p, so the matrix is (n+1) x (n+1) and invertible for
-    nonzero p of degree n.  The zero polynomial is rejected.
-    """
-    if p.is_zero:
-        raise ValueError("zero polynomial has no shifted-column matrix")
-    n = p.degree
-    return Matrix.from_columns([p.translate(i).coeffs for i in range(n + 1)])

@@ -18,13 +18,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import (
-    Matrix,
-    _common_denominator,
-    as_rational,
-    solve_upper_triangular,
-    solve_vandermonde_dual,
-)
+from .algebra import Matrix, _common_denominator, as_rational
 from .exceptions import NotRefinableError
 from .mask import Mask, difference_power, reduce_mod_difference, refined_degree
 from .polynomial import Polynomial
@@ -84,11 +78,6 @@ def poly_from_mask(m: Mask) -> Polynomial:
     return Polynomial(p)
 
 
-def _padded(p: Polynomial, size: int) -> list:
-    out = list(p.coeffs) + [Fraction(0)] * (size - len(p.coeffs))
-    return out[:size]
-
-
 def mask_from_poly(p: Polynomial) -> Mask:
     """The unique mask supported in {0..n} refining p, n = degree(p).
 
@@ -102,11 +91,10 @@ def mask_from_poly(p: Polynomial) -> Mask:
 def mask_from_poly_at_nodes(p: Polynomial, nodes: Sequence[int]) -> Mask:
     """The unique mask supported on the given integer nodes refining p.
 
-    Needs exactly degree(p)+1 distinct integers.  The shifted-column
-    matrix restricted to these nodes factors into a Taylor-coefficient
-    triangle times a Vandermonde matrix in the negated nodes, so the
-    system splits into one back-substitution and one interpolation-style
-    Vandermonde solve.
+    Needs exactly degree(p)+1 distinct integers.  Row j of A p = d p,
+    2**(j+1) * sum_r C(j+r, j) * mu_r * p_{j+r} = p_j, ends in mu_{n-j}
+    times C(n, j) * p_n, so from the top row down it gives the moments any
+    refining mask has; the answer is the mask on the nodes with them.
     """
     if p.is_zero:
         raise ValueError("zero polynomial: every mask refines it")
@@ -119,21 +107,14 @@ def mask_from_poly_at_nodes(p: Polynomial, nodes: Sequence[int]) -> Mask:
         raise ValueError(f"need {n + 1} nodes for degree {n}, got {len(pts)}")
     if len(set(pts)) != len(pts):
         raise ValueError("nodes must be distinct")
-    b = [c / 2 for c in _padded(p.shrink(Fraction(1, 2)), n + 1)]
-    # taylor[i][j] = C(i+j, i) * p_{i+j}, anti-triangular with its leading
-    # diagonal built from the top coefficient of p
-    taylor_cols = [
-        [math.comb(i + j, i) * p.coefficient(i + j) for i in range(n + 1)]
-        for j in range(n + 1)
-    ]
-    a = Matrix.from_columns(list(reversed(taylor_cols)))
-    z = list(reversed(solve_upper_triangular(a, b)))
-    weights = solve_vandermonde_dual([Fraction(-x) for x in pts], z)
-    lo = min(pts)
-    out = [Fraction(0)] * (max(pts) - lo + 1)
-    for x, w in zip(pts, weights):
-        out[x - lo] = w
-    return Mask(lo, out)
+    c, _ = _common_denominator(p.coeffs)  # the relation is linear in p
+    mu = []
+    for j in range(n, -1, -1):
+        nums, den = _common_denominator(mu)
+        acc = sum(math.comb(j + r, j) * a * c[j + r] for r, a in enumerate(nums) if c[j + r])
+        mu.append(Fraction(c[j] * den - 2 ** (j + 1) * acc,
+                           2 ** (j + 1) * math.comb(n, j) * c[n] * den))
+    return Mask._with_moments(pts, mu)
 
 
 # ----------------------------------------------------------------------
@@ -257,7 +238,8 @@ def equivalence_witness(a: Mask, b: Mask) -> Mask | None:
     """A mask v with a == b + v*(1,-1)**(n+1), or None when there is none.
 
     Exists exactly when both masks have sum 2**-(n+1) for the same n and
-    equal canonical remainders.
+    equal moments mu_0..mu_n; then v is the quotient of a - b, whose
+    remainder is zero.
     """
     try:
         n = refined_degree(a)
@@ -265,11 +247,9 @@ def equivalence_witness(a: Mask, b: Mask) -> Mask | None:
             return None
     except NotRefinableError:
         return None
-    ra, qa = reduce_mod_difference(a, n)
-    rb, qb = reduce_mod_difference(b, n)
-    if ra != rb:
+    if a.moments(n) != b.moments(n):
         return None
-    return qa - qb
+    return reduce_mod_difference(a - b, n).quotient
 
 
 def masks_equivalent(a: Mask, b: Mask) -> bool:
@@ -334,7 +314,7 @@ def cascade(m: Mask, p0: Polynomial, max_iter: int = 200,
     if p0.degree is not None and p0.degree > n:
         raise ValueError(f"start polynomial degree {p0.degree} exceeds mask degree {n}")
     d, rows = _integer_operator(m, n)
-    x, s = _common_denominator(_padded(p0, n + 1))
+    x, s = _common_denominator(p0.coeffs + (Fraction(0),) * (n + 1 - len(p0.coeffs)))
     for step in range(1, max_iter + 1):
         y = _apply(rows, x)
         diff = max(abs(b - d * a) for a, b in zip(x, y))

@@ -2,18 +2,25 @@
 
 Each function is a direct transcription of the refinement relation rather
 than of its moment form: per-shift Taylor translates, the derivative
-recursion, division by (1,-1)**(n+1) through elimination, and a cascade
-over Fraction matrices.
+recursion, division by (1,-1)**(n+1) through elimination, a cascade over
+Fraction matrices, and dense Gaussian elimination on the shifted-column
+system.
 """
 
+from __future__ import annotations
+
 from fractions import Fraction
+from typing import Sequence
 
 from refinemask import (
     CascadeReport,
     Mask,
     Matrix,
+    NotRefinableError,
     Polynomial,
     ReducedMask,
+    SingularMatrixError,
+    as_rational,
     difference_power,
     refined_degree,
 )
@@ -75,6 +82,35 @@ def reduce_mod_difference(m: Mask, n: int) -> ReducedMask:
     return ReducedMask(remainder, quotient)
 
 
+def mask_from_poly_at_nodes(p: Polynomial, nodes: Sequence[int]) -> Mask:
+    """The mask on the nodes refining p, by Gaussian elimination.
+
+    p(t/2)/2 = sum_j m_j * p(t - j) is a square linear system whose
+    column j holds the coefficients of p(t - j), one column per node.
+    """
+    system = Matrix.from_columns([p.translate(j).coeffs for j in nodes])
+    half = p.shrink(Fraction(1, 2))
+    weights = solve_general(system, [c / 2 for c in half.coeffs])
+    lo = min(nodes)
+    coeffs = [Fraction(0)] * (max(nodes) - lo + 1)
+    for j, w in zip(nodes, weights):
+        coeffs[j - lo] = w
+    return Mask(lo, coeffs)
+
+
+def equivalence_witness(a: Mask, b: Mask) -> Mask | None:
+    """qa - qb from reducing both masks, when their remainders agree."""
+    try:
+        n = refined_degree(a)
+        if refined_degree(b) != n:
+            return None
+    except NotRefinableError:
+        return None
+    ra, qa = reduce_mod_difference(a, n)
+    rb, qb = reduce_mod_difference(b, n)
+    return qa - qb if ra == rb else None
+
+
 def cascade(m: Mask, p0: Polynomial, max_iter: int, tol: Fraction) -> CascadeReport:
     """Iterate the refinement operator with Fraction arithmetic until delta < tol.
 
@@ -97,3 +133,49 @@ def cascade(m: Mask, p0: Polynomial, max_iter: int, tol: Fraction) -> CascadeRep
         if delta < tol:
             return CascadeReport(Polynomial(current), step, delta, True)
     return CascadeReport(Polynomial(current), max_iter, delta, False)
+
+
+def solve_general(a: Matrix, b: Sequence) -> tuple:
+    """Exact Gaussian elimination with row pivoting on the first nonzero.
+
+    Brute force on purpose: this is the reference route that the
+    structured solvers in the package are checked against.
+    """
+    if a.rows != a.cols:
+        raise ValueError(f"matrix is not square: {a.rows}x{a.cols}")
+    n = a.rows
+    rhs = [as_rational(x) for x in b]
+    if len(rhs) != n:
+        raise ValueError(f"dimension mismatch: {n}x{n} system with vector[{len(rhs)}]")
+    aug = [list(a.row(i)) + [rhs[i]] for i in range(n)]
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot_row is None:
+            raise SingularMatrixError(f"no pivot in column {col}")
+        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
+        for r in range(col + 1, n):
+            factor = aug[r][col] / aug[col][col]
+            if factor == 0:
+                continue
+            for c in range(col, n + 1):
+                aug[r][c] -= factor * aug[col][c]
+    x = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        acc = aug[i][n]
+        for k in range(i + 1, n):
+            acc -= aug[i][k] * x[k]
+        x[i] = acc / aug[i][i]
+    return tuple(x)
+
+
+def shifted_poly_matrix(p: Polynomial) -> Matrix:
+    """Square matrix whose column i holds the coefficients of p(t - i).
+
+    Columns run i = 0..degree(p).  Every column keeps the leading
+    coefficient of p, so the matrix is (n+1) x (n+1) and invertible for
+    nonzero p of degree n.  The zero polynomial is rejected.
+    """
+    if p.is_zero:
+        raise ValueError("zero polynomial has no shifted-column matrix")
+    n = p.degree
+    return Matrix.from_columns([p.translate(i).coeffs for i in range(n + 1)])

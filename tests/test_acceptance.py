@@ -25,10 +25,9 @@ from refinemask import (
     poly_from_mask,
     refined_degree,
     refinement_matrix,
-    shifted_poly_matrix,
-    solve_general,
     verify_refines,
 )
+from reference import shifted_poly_matrix, solve_general
 from util import rand_mask, rand_poly, rand_valid_mask
 
 BSPLINE_TEXT = "0:1/64,3/64,3/64,1/64"

@@ -11,10 +11,10 @@ from refinemask import (
     SingularMatrixError,
     as_rational,
     parse_rational,
-    solve_general,
     solve_upper_triangular,
     solve_vandermonde_dual,
 )
+from reference import solve_general
 from util import rand_fraction, rand_matrix
 
 
@@ -166,6 +166,16 @@ def test_solve_vandermonde_dual_matches_general():
         nodes = rng.sample(range(-8, 9), size)
         moments = [rand_fraction(rng) for _ in range(size)]
         v = Matrix.from_rows([[F(x) ** i for x in nodes] for i in range(size)])
+        assert solve_vandermonde_dual(nodes, moments) == solve_general(v, moments)
+    for _ in range(25):
+        size = rng.randint(1, 6)
+        nodes = []
+        while len(nodes) < size:
+            x = rand_fraction(rng, 9, 7)
+            if x not in nodes:
+                nodes.append(x)
+        moments = [rand_fraction(rng) for _ in range(size)]
+        v = Matrix.from_rows([[x ** i for x in nodes] for i in range(size)])
         assert solve_vandermonde_dual(nodes, moments) == solve_general(v, moments)
 
 

@@ -1,5 +1,6 @@
 """Command line contract: output strings, exit codes, round trips."""
 
+import os
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -10,12 +11,29 @@ from refinemask import Mask, Polynomial
 from refinemask.cli import main
 
 BSPLINE_TEXT = "0:1/64,3/64,3/64,1/64"
+FAR = "1" + "0" * 30  # an index no dense list can reach
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_bounded(*argv, seconds=60, memory=2 ** 30):
+    """Run the CLI in a child process under a time and address-space limit.
+
+    For inputs that once built a mask as wide as their indices: a
+    regression then fails the test instead of filling the machine's memory.
+    """
+    def limit():
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
+
+    proc = subprocess.run([sys.executable, "-m", "refinemask", *argv],
+                          capture_output=True, text=True, timeout=seconds,
+                          preexec_fn=limit if os.name == "posix" else None)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def test_poly_from_mask_chain(capsys):
@@ -70,6 +88,10 @@ def test_mask_from_poly_bad_nodes(capsys):
     for nodes in ["0,1_0,2", "0, 1,2", "0,\u0661,2", "0,+1,2"]:
         code, out, err = run(capsys, "mask-from-poly", "5/2,-3,1", "--nodes", nodes)
         assert (code, out) == (2, "")
+    # a span no dense mask can index is a domain error, not an OverflowError
+    code, out, err = run(capsys, "mask-from-poly", "1,1", "--nodes", f"0,{FAR}")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
 
 
 def test_mask_from_poly_zero_polynomial(capsys):
@@ -100,8 +122,20 @@ def test_equiv_failure(capsys):
     assert "not equivalent" in err
 
 
+def test_equiv_far_apart_classes_fail_at_once():
+    # both degree 1, different moments: rejected before a - b is built
+    code, out, err = run_bounded("equiv", "0:1/4", f"{FAR}:1/4")
+    assert (code, out) == (1, "")
+    assert "not equivalent" in err
+
+
 def test_reduce(capsys):
     assert run(capsys, "reduce", BSPLINE_TEXT) == (0, "0:1/32,0,3/32\n", "")
+
+
+def test_reduce_far_offset_builds_no_quotient():
+    # the quotient would be 10**30 entries wide; only the remainder is printed
+    assert run_bounded("reduce", f"{FAR}:1/2") == (0, "0:1/2\n", "")
 
 
 def test_reduce_bad_sum(capsys):

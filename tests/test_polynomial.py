@@ -10,9 +10,8 @@ from refinemask import (
     ParseError,
     Polynomial,
     SingularMatrixError,
-    shifted_poly_matrix,
-    solve_general,
 )
+from reference import shifted_poly_matrix, solve_general
 from util import rand_fraction, rand_poly
 
 QUAD = Polynomial.parse("5/2,-3,1")  # 5/2 - 3t + t**2

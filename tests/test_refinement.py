@@ -90,6 +90,19 @@ def test_moment_routes_match_reference():
         for k in range(n + 1):
             image = reference.refine_apply(m, Polynomial.monomial(k))
             assert list(operator.column(k)) == padded(image, n + 1)
+    for _ in range(60):
+        p = rand_poly(rng, rng.randint(0, 8))
+        nodes = rng.sample(range(-30, 31), p.degree + 1)
+        assert mask_from_poly_at_nodes(p, nodes) == reference.mask_from_poly_at_nodes(p, nodes)
+    for _ in range(60):
+        b = rand_valid_mask(rng, max_degree=8, max_width=20).translate(rng.randint(-20, 20))
+        n = refined_degree(b)
+        same_class = extend_mask(b, rand_mask(rng, max_width=10), n)
+        other = rand_valid_mask(rng, max_degree=8, max_width=20)
+        v = Mask.delta(rng.randint(-5, 5), rand_fraction(rng, nonzero=True))
+        near = b + v.convolve(difference_power(n))  # equal moments but mu_n
+        for a in (same_class, other, near, b.scale(2), rand_mask(rng)):
+            assert equivalence_witness(a, b) == reference.equivalence_witness(a, b)
 
 
 # ----------------------------------------------------------------------
