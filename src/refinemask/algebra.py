@@ -1,8 +1,9 @@
-"""Exact rational scalars and small dense matrices over them.
+"""Exact rational scalars, the solvers over them, and ``Matrix``.
 
 Everything here is exact, ``fractions.Fraction`` or integers over one
-denominator; nothing is ever rounded.  The matrices involved stay tiny
-(a handful of rows), so the solvers favour clarity over asymptotics.
+denominator; nothing is ever rounded.  ``Matrix`` is the read-only result
+type of ``refinement_matrix``.  The systems involved stay tiny (a handful
+of rows), so the solvers favour clarity over asymptotics.
 """
 
 from __future__ import annotations
@@ -57,9 +58,9 @@ def parse_rational(text: str) -> Fraction:
 
 
 class Matrix:
-    """Immutable dense matrix with Fraction entries, stored row-major.
+    """Read-only dense matrix with Fraction entries, stored row-major.
 
-    Value semantics: all operations return new matrices, none mutate.
+    Read through ``m[i, j]``, ``row(i)`` and ``apply(v)``.
     """
 
     __slots__ = ("rows", "cols", "entries")
@@ -76,26 +77,6 @@ class Matrix:
                 f"got {len(self.entries)}"
             )
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "Matrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        if any(len(r) != ncols for r in rows):
-            raise ValueError("ragged rows")
-        return cls(nrows, ncols, [e for r in rows for e in r])
-
-    @classmethod
-    def from_columns(cls, cols: Sequence[Sequence]) -> "Matrix":
-        ncols = len(cols)
-        nrows = len(cols[0]) if ncols else 0
-        if any(len(c) != nrows for c in cols):
-            raise ValueError("ragged columns")
-        return cls(nrows, ncols, [cols[j][i] for i in range(nrows) for j in range(ncols)])
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, [Fraction(i == j) for i in range(n) for j in range(n)])
-
     def __getitem__(self, key) -> Fraction:
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
@@ -104,23 +85,6 @@ class Matrix:
 
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def column(self, j: int) -> tuple:
-        return self.entries[j::self.cols]
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise ValueError(
-                f"dimension mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
-            )
-        out = []
-        for i in range(self.rows):
-            left = self.row(i)
-            for j in range(other.cols):
-                out.append(sum((left[k] * other[k, j] for k in range(self.cols)), Fraction(0)))
-        return Matrix(self.rows, other.cols, out)
 
     def apply(self, vector: Sequence) -> tuple:
         """Matrix-vector product, returned as a tuple of Fractions."""
@@ -136,9 +100,6 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
 
     def __repr__(self) -> str:
         body = "; ".join(", ".join(str(e) for e in self.row(i)) for i in range(self.rows))

@@ -83,10 +83,7 @@ def _cmd_equiv(args) -> int:
 
 def _cmd_reduce(args) -> int:
     m = Mask.parse(args.mask)
-    n = refined_degree(m)
-    # the remainder alone: the mask on 0..n with the moments of m; the
-    # quotient reduce_mod_difference also builds can be as wide as m
-    print(Mask._with_moments(range(n + 1), m.moments(n)))
+    print(mask_from_poly(poly_from_mask(m)))
     return EXIT_OK
 
 
@@ -128,11 +125,10 @@ def _cmd_render_csv(args) -> int:
         width = t_max - t_min
         grid = [t_min + width * i / (args.samples - 1) for i in range(args.samples)]
     # part column j samples 2 * m_j * p(2t - j); the columns sum to p(t)
-    parts = [(j, p.translate(j).shrink(2).scale(2 * c)) for j, c in m.items()]
-    lines = ["t,total," + ",".join(f"part_{j}" for j, _ in parts)]
+    lines = ["t,total," + ",".join(f"part_{j}" for j, _ in m.items())]
     for t in grid:
         cells = [_float_cell(t), _float_cell(p(t))]
-        cells.extend(_float_cell(part(t)) for _, part in parts)
+        cells.extend(_float_cell(2 * c * p(2 * t - j)) for j, c in m.items())
         lines.append(",".join(cells))
     text = "\n".join(lines) + "\n"
     if args.out is None:
@@ -217,7 +213,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (RefineMaskError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except OSError as exc:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import re
-import sys
 from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -122,12 +121,17 @@ class Mask:
 
     @classmethod
     def _with_moments(cls, nodes: Sequence[int], moments: Sequence) -> "Mask":
-        """The mask on k+1 distinct integer nodes with moments mu_0..mu_k."""
+        """The mask on k+1 distinct integer nodes with moments mu_0..mu_k.
+
+        The mask is dense, so a span too wide to allocate is a ValueError.
+        """
         lo, hi = min(nodes), max(nodes)
-        if hi - lo >= sys.maxsize:
-            raise ValueError(f"nodes span {hi - lo + 1} indices, too wide for a dense mask")
+        try:
+            out = [Fraction(0)] * (hi - lo + 1)
+        except (OverflowError, MemoryError):
+            raise ValueError(
+                f"nodes span {hi - lo + 1} indices, too wide for a dense mask") from None
         weights = solve_vandermonde_dual([-j for j in nodes], moments)
-        out = [Fraction(0)] * (hi - lo + 1)
         for j, w in zip(nodes, weights):
             out[j - lo] = w
         return cls(lo, out)

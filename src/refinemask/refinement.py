@@ -231,6 +231,8 @@ class RefinablePair:
 
 def extend_mask(m: Mask, v: Mask, n: int) -> Mask:
     """m + v * (1,-1)**(n+1): stays in the same refining class mod degree n."""
+    if n < 0:
+        raise ValueError(f"target degree must be nonnegative, got {n}")
     return m + v.convolve(difference_power(n + 1))
 
 

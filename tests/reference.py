@@ -3,8 +3,10 @@
 Each function is a direct transcription of the refinement relation rather
 than of its moment form: per-shift Taylor translates, the derivative
 recursion, division by (1,-1)**(n+1) through elimination, a cascade over
-Fraction matrices, and dense Gaussian elimination on the shifted-column
-system.
+Fraction matrices, dense Gaussian elimination on the shifted-column
+system, and render-csv's table with one Taylor-shifted polynomial per
+part.  The package's Matrix is read-only, so matrices here are built
+through the small helpers from_rows, from_columns and identity.
 """
 
 from __future__ import annotations
@@ -24,6 +26,18 @@ from refinemask import (
     difference_power,
     refined_degree,
 )
+
+
+def from_rows(rows: Sequence[Sequence]) -> Matrix:
+    return Matrix(len(rows), len(rows[0]) if rows else 0, [e for r in rows for e in r])
+
+
+def from_columns(cols: Sequence[Sequence]) -> Matrix:
+    return from_rows(list(zip(*cols)))
+
+
+def identity(n: int) -> Matrix:
+    return Matrix(n, n, [int(i == j) for i in range(n) for j in range(n)])
 
 
 def refine_apply(m: Mask, p: Polynomial) -> Polynomial:
@@ -88,7 +102,7 @@ def mask_from_poly_at_nodes(p: Polynomial, nodes: Sequence[int]) -> Mask:
     p(t/2)/2 = sum_j m_j * p(t - j) is a square linear system whose
     column j holds the coefficients of p(t - j), one column per node.
     """
-    system = Matrix.from_columns([p.translate(j).coeffs for j in nodes])
+    system = from_columns([p.translate(j).coeffs for j in nodes])
     half = p.shrink(Fraction(1, 2))
     weights = solve_general(system, [c / 2 for c in half.coeffs])
     lo = min(nodes)
@@ -122,7 +136,7 @@ def cascade(m: Mask, p0: Polynomial, max_iter: int, tol: Fraction) -> CascadeRep
     def padded(p: Polynomial) -> list:
         return list(p.coeffs) + [Fraction(0)] * (n + 1 - len(p.coeffs))
 
-    operator = Matrix.from_columns(
+    operator = from_columns(
         [padded(refine_apply(m, Polynomial.monomial(k))) for k in range(n + 1)])
     current = tuple(padded(p0))
     delta = Fraction(0)
@@ -178,4 +192,20 @@ def shifted_poly_matrix(p: Polynomial) -> Matrix:
     if p.is_zero:
         raise ValueError("zero polynomial has no shifted-column matrix")
     n = p.degree
-    return Matrix.from_columns([p.translate(i).coeffs for i in range(n + 1)])
+    return from_columns([p.translate(i).coeffs for i in range(n + 1)])
+
+
+def render_csv(m: Mask, t_min: Fraction, t_max: Fraction, samples: int) -> str:
+    """The render-csv table with part j built as one Taylor-shifted
+    polynomial, p.translate(j).shrink(2).scale(2 * m_j), evaluated at t."""
+    p = poly_from_mask(m)
+    if samples == 1:
+        grid = [t_min]
+    else:
+        grid = [t_min + (t_max - t_min) * i / (samples - 1) for i in range(samples)]
+    parts = [(j, p.translate(j).shrink(2).scale(2 * c)) for j, c in m.items()]
+    lines = ["t,total," + ",".join(f"part_{j}" for j, _ in parts)]
+    for t in grid:
+        values = [t, p(t)] + [part(t) for _, part in parts]
+        lines.append(",".join(format(float(v), ".12g") for v in values))
+    return "\n".join(lines) + "\n"

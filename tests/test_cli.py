@@ -1,14 +1,17 @@
 """Command line contract: output strings, exit codes, round trips."""
 
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
 
 import pytest
 
-from refinemask import Mask, Polynomial
+from refinemask import Mask, Polynomial, reduce_mod_difference, refined_degree
 from refinemask.cli import main
+import reference
+from util import rand_fraction, rand_mask, rand_poly, rand_valid_mask
 
 BSPLINE_TEXT = "0:1/64,3/64,3/64,1/64"
 FAR = "1" + "0" * 30  # an index no dense list can reach
@@ -92,6 +95,10 @@ def test_mask_from_poly_bad_nodes(capsys):
     code, out, err = run(capsys, "mask-from-poly", "1,1", "--nodes", f"0,{FAR}")
     assert (code, out) == (1, "")
     assert err.startswith("error: ")
+    # nor is a span that fits an index but not a 1 GiB address space
+    code, out, err = run_bounded("mask-from-poly", "1,1", "--nodes", f"0,{10 ** 15}")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "too wide for a dense mask" in err
 
 
 def test_mask_from_poly_zero_polynomial(capsys):
@@ -141,6 +148,16 @@ def test_reduce_far_offset_builds_no_quotient():
 def test_reduce_bad_sum(capsys):
     code, _, err = run(capsys, "reduce", "0:1,1")
     assert code == 1
+
+
+def test_reduce_matches_remainder(capsys):
+    # the mask on 0..n refining the same polynomial is the remainder of m
+    # modulo (1,-1)**(n+1)
+    rng = random.Random(151)
+    for _ in range(200):
+        m = rand_valid_mask(rng, max_degree=8, max_width=12).translate(rng.randint(-30, 30))
+        remainder = reduce_mod_difference(m, refined_degree(m)).remainder
+        assert run(capsys, "reduce", "--", str(m)) == (0, f"{remainder}\n", "")
 
 
 def test_cascade_output(capsys):
@@ -276,6 +293,93 @@ def test_render_csv_io_error(tmp_path, capsys):
                        "--out", str(missing))
     assert code == 3
     assert "error" in err
+
+
+def test_render_csv_matches_per_part_route(capsys):
+    rng = random.Random(157)
+    for _ in range(150):
+        m = rand_valid_mask(rng, max_degree=8, max_width=12).translate(rng.randint(-30, 30))
+        t_min, t_max = rand_fraction(rng, 20, 20), rand_fraction(rng, 20, 20)
+        samples = rng.randint(1, 12)
+        expected = reference.render_csv(m, t_min, t_max, samples)
+        assert run(capsys, "render-csv", f"--t-min={t_min}", f"--t-max={t_max}",
+                   f"--samples={samples}", "--", str(m)) == (0, expected, "")
+
+
+def test_fuzz_exit_codes(tmp_path, capsys):
+    # seeded argv over every subcommand, mixing valid and malformed tokens:
+    # each call returns an exit code of the contract or is an argparse exit
+    rng = random.Random(167)
+    bad = ["", "0:", "1/0", "\u0663", "1_0", " 1", "1e3", "9" * 5000]
+    outs = [str(tmp_path / "f.csv"), str(tmp_path / "missing" / "f.csv")]
+
+    def token(valid):
+        return valid() if rng.random() < 0.8 else rng.choice(bad)
+
+    def mask():
+        if rng.random() < 0.6:
+            return token(lambda: str(rand_valid_mask(rng, max_degree=9, max_width=12)))
+        return token(lambda: str(rand_mask(rng, max_width=12)))
+
+    def poly():
+        return token(lambda: str(rand_poly(rng, rng.randint(0, 9))))
+
+    def number(lo, hi):
+        return token(lambda: str(rng.randint(lo, hi)))
+
+    def nodes():
+        pts = rng.sample(range(-5000, 5001), rng.randint(1, 10))
+        if rng.random() < 0.3:
+            pts.append(rng.choice(pts))
+        if rng.random() < 0.5:
+            pts.sort()
+        return ",".join(token(lambda: str(x)) for x in pts)
+
+    def rational():
+        return token(lambda: str(rand_fraction(rng, 20, 20)))
+
+    positional = {
+        "poly-from-mask": [mask], "mask-from-poly": [poly], "verify": [mask, poly],
+        "equiv": [mask, mask], "reduce": [mask], "cascade": [mask], "render-csv": [mask],
+        "bogus": [mask],
+    }
+    options = {
+        "--nodes": nodes, "--max-iter": lambda: number(-2, 40),
+        "--tol": lambda: rng.choice(["0", "-1", "x", "1/1099511627776", rational()]),
+        "--p0": poly, "--t-min": rational, "--t-max": rational,
+        "--samples": lambda: number(-2, 40), "--out": lambda: rng.choice(outs),
+    }
+    own = {"mask-from-poly": ["--nodes"], "cascade": ["--max-iter", "--tol", "--p0"],
+           "render-csv": ["--t-min", "--t-max", "--samples", "--out"]}
+    seen = set()
+    for _ in range(2000):
+        command = rng.choice(sorted(positional))
+        flags = own.get(command, [])
+        flags = rng.sample(flags, rng.randint(0, len(flags)))
+        if command == "render-csv" and "--samples" not in flags:
+            flags.append("--samples")  # not the default 301 rows
+        if rng.random() < 0.1:
+            flags.append(rng.choice(sorted(options)))  # often not the command's own
+        argv = [command]
+        for flag in flags:  # "--flag=-1" lets a value start with "-"
+            value = options[flag]()
+            argv += [f"{flag}={value}"] if rng.random() < 0.7 else [flag, value]
+        if rng.random() < 0.01:
+            argv.append("-h")
+        if rng.random() < 0.8:
+            argv.append("--")  # so a negative mask offset is not read as a flag
+        argv += [make() for make in positional[command]]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = f"argparse {exc.code}"
+        except Exception as exc:
+            pytest.fail(f"{argv!r} raised {exc!r}")
+        _, err = capsys.readouterr()
+        assert code in (0, 1, 2, 3, "argparse 0", "argparse 2"), argv
+        assert "Traceback" not in err, argv
+        seen.add(code)
+    assert seen == {0, 1, 2, 3, "argparse 0", "argparse 2"}
 
 
 def test_unknown_flag_exits_two():

@@ -89,7 +89,7 @@ def test_moment_routes_match_reference():
         operator = refinement_matrix(m, n)
         for k in range(n + 1):
             image = reference.refine_apply(m, Polynomial.monomial(k))
-            assert list(operator.column(k)) == padded(image, n + 1)
+            assert [operator[i, k] for i in range(n + 1)] == padded(image, n + 1)
     for _ in range(60):
         p = rand_poly(rng, rng.randint(0, 8))
         nodes = rng.sample(range(-30, 31), p.degree + 1)
@@ -325,6 +325,9 @@ def test_extend_mask_recovers_wide_mask():
 
 def test_extend_mask_zero_witness():
     assert extend_mask(BSPLINE, Mask.zero(), 2) == BSPLINE
+    for n in (-1, -2):
+        with pytest.raises(ValueError, match=f"target degree must be nonnegative, got {n}$"):
+            extend_mask(BSPLINE, Mask.zero(), n)
 
 
 def test_coset_closure_random():
