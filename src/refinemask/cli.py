@@ -8,6 +8,8 @@ Every mask or polynomial printed here re-parses to an identical value.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from fractions import Fraction
 
@@ -124,6 +126,10 @@ def _cmd_render_csv(args) -> int:
     else:
         width = t_max - t_min
         grid = [t_min + width * i / (args.samples - 1) for i in range(args.samples)]
+    if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or os.curdir):
+        # fail before the table is computed; the file itself is opened only
+        # once the table is, so a later failure leaves no file behind
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
     # part column j samples 2 * m_j * p(2t - j); the columns sum to p(t)
     lines = ["t,total," + ",".join(f"part_{j}" for j, _ in m.items())]
     for t in grid:

@@ -18,13 +18,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .algebra import (
-    _common_denominator,
-    _parse_int,
-    as_rational,
-    parse_rational,
-    solve_vandermonde_dual,
-)
+from .algebra import _common_denominator, _parse_int, as_rational, parse_rational
 from .exceptions import NotRefinableError, ParseError
 
 _MASK_RE = re.compile(r"(-?[0-9]+):(.+)")
@@ -118,23 +112,6 @@ class Mask:
                 sums[r] += term
                 term *= -j
         return sums, den
-
-    @classmethod
-    def _with_moments(cls, nodes: Sequence[int], moments: Sequence) -> "Mask":
-        """The mask on k+1 distinct integer nodes with moments mu_0..mu_k.
-
-        The mask is dense, so a span too wide to allocate is a ValueError.
-        """
-        lo, hi = min(nodes), max(nodes)
-        try:
-            out = [Fraction(0)] * (hi - lo + 1)
-        except (OverflowError, MemoryError):
-            raise ValueError(
-                f"nodes span {hi - lo + 1} indices, too wide for a dense mask") from None
-        weights = solve_vandermonde_dual([-j for j in nodes], moments)
-        for j, w in zip(nodes, weights):
-            out[j - lo] = w
-        return cls(lo, out)
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -239,6 +216,50 @@ def difference_power(n: int) -> Mask:
     return Mask(0, [Fraction((-1) ** k * math.comb(n, k)) for k in range(n + 1)])
 
 
+def _taylor_sums(offset: int, nums: Sequence[int], n: int) -> list:
+    """Taylor coefficients at z = 1 of the symbol sum_j nums[j - offset] * z**j.
+
+    c_k = sum_j nums[j - offset] * C(j, k) for k = 0..n is the coefficient
+    of (z - 1)**k.  C(j, k) is the generalised binomial, an integer for
+    negative j too, from C(j, k+1) = C(j, k) * (j - k) / (k + 1); it stops
+    at the first zero.
+    """
+    sums = [0] * (n + 1)
+    for j, term in enumerate(nums, start=offset):
+        for k in range(n + 1):
+            if not term:
+                break
+            sums[k] += term
+            term = term * (j - k) // (k + 1)
+    return sums
+
+
+def _zeros(width: int, what: str) -> list:
+    """A dense list of width zeros; a width too large to allocate is a ValueError."""
+    try:
+        return [0] * width
+    except (OverflowError, MemoryError):
+        raise ValueError(f"{what} {width} indices, too wide for a dense mask") from None
+
+
+def _quotient(n: int, lo: int, hi: int, den: int, *parts) -> Mask:
+    """f / (1,-1)**(n+1) for an f known to be divisible by it.
+
+    f is supported in lo..hi and is the sum of parts, each (offset,
+    integer numerators) over den.  Dividing by (1,-1) is a prefix sum; the
+    last n+1 entries of the (n+1)-fold sum are zero, so only the first
+    hi - lo - n entries of f enter.
+    """
+    out = _zeros(hi - lo - n, "quotient spans")
+    for start, nums in parts:
+        for i, a in enumerate(nums[:max(0, len(out) - (start - lo))], start - lo):
+            out[i] += a
+    for _ in range(n + 1):
+        out = list(accumulate(out))
+    zero = Fraction(0)
+    return Mask(lo, [Fraction(a, den) if a else zero for a in out])
+
+
 class ReducedMask(NamedTuple):
     remainder: Mask
     quotient: Mask
@@ -252,15 +273,22 @@ def reduce_mod_difference(m: Mask, n: int) -> ReducedMask:
     The remainder with that support is unique, so it canonically
     represents the class of m modulo multiples of (1,-1)**(n+1).
 
-    A mask is such a multiple exactly when its moments mu_0..mu_n vanish,
-    so the remainder is the mask on {0..n} with the moments of m.
-    Dividing m - remainder by (1,-1) is a prefix sum, done n+1 times for
-    the quotient.
+    In the symbol m(z) = sum_j m_j * z**j the divisor is (1 - z)**(n+1),
+    so the remainder is the Taylor polynomial of m at z = 1 to order n,
+    r(z) = sum_k c_k * (z - 1)**k with c_k = sum_j m_j * C(j, k), expanded
+    by Horner.  The c_k are integers over the denominator of m, so is
+    m - r, and the quotient is n+1 prefix sums of those integers.
     """
     if n < 0:
         raise ValueError(f"target degree must be nonnegative, got {n}")
-    remainder = Mask._with_moments(range(n + 1), m.moments(n))
-    quotient = m - remainder
-    for _ in range(n + 1):
-        quotient = Mask(quotient.offset, accumulate(quotient.coeffs))
-    return ReducedMask(remainder, quotient)
+    if m.is_zero:
+        return ReducedMask(Mask.zero(), Mask.zero())
+    nums, den = _common_denominator(m.coeffs)
+    sums = _taylor_sums(m.offset, nums, n)
+    top = max((k for k, c in enumerate(sums) if c), default=-1)
+    rem = []
+    for c in reversed(sums[:top + 1]):  # rem <- rem * (z - 1) + c
+        rem = [a - b for a, b in zip([c] + rem, rem + [0])]
+    quotient = _quotient(n, min(m.offset, 0), max(m.support_max, n), den,
+                         (m.offset, nums), (0, [-a for a in rem]))
+    return ReducedMask(Mask(0, [Fraction(a, den) for a in rem]), quotient)

@@ -18,9 +18,9 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import Matrix, _common_denominator, as_rational
+from .algebra import Matrix, _common_denominator, as_rational, solve_vandermonde_dual
 from .exceptions import NotRefinableError
-from .mask import Mask, difference_power, reduce_mod_difference, refined_degree
+from .mask import Mask, _quotient, _taylor_sums, _zeros, difference_power, refined_degree
 from .polynomial import Polynomial
 
 
@@ -67,15 +67,24 @@ def poly_from_mask(m: Mask) -> Polynomial:
 
         p_k = sum_{i>k} A_ki * p_i / (d - A_kk)
 
-    where A_kk / d = 2**(k-n) is never 1 below the top row.
+    where A_kk / d = 2**(k-n) is never 1 below the top row.  The solve runs
+    on integer numerators over one denominator that shares no factor with
+    all of them; Fractions are built only for the answer.
     """
     n = refined_degree(m)
     d, rows = _integer_operator(m, n)
-    p = [Fraction(0)] * n + [Fraction(1)]
+    x, s = [0] * n + [1], 1  # p = x / s
     for k in range(n - 1, -1, -1):
         (diag, _), *rest = rows[k]
-        p[k] = Fraction(sum(a * p[i] for a, i in rest), d - diag)
-    return Polynomial(p)
+        t, e = sum(a * x[i] for a, i in rest), d - diag
+        g = math.gcd(t, e)
+        # p_k = (t/g) / (s * e/g); with t/g and e/g coprime and (x, s) free
+        # of common factors, (x, s) over the new denominator stays so
+        x[k], e = t // g, e // g
+        if e > 1:
+            x[k + 1:] = [a * e for a in x[k + 1:]]
+            s *= e
+    return Polynomial(Fraction(a, s) for a in x)
 
 
 def mask_from_poly(p: Polynomial) -> Mask:
@@ -107,6 +116,8 @@ def mask_from_poly_at_nodes(p: Polynomial, nodes: Sequence[int]) -> Mask:
         raise ValueError(f"need {n + 1} nodes for degree {n}, got {len(pts)}")
     if len(set(pts)) != len(pts):
         raise ValueError("nodes must be distinct")
+    lo = min(pts)
+    out = _zeros(max(pts) - lo + 1, "nodes span")
     c, _ = _common_denominator(p.coeffs)  # the relation is linear in p
     mu = []
     for j in range(n, -1, -1):
@@ -114,7 +125,9 @@ def mask_from_poly_at_nodes(p: Polynomial, nodes: Sequence[int]) -> Mask:
         acc = sum(math.comb(j + r, j) * a * c[j + r] for r, a in enumerate(nums) if c[j + r])
         mu.append(Fraction(c[j] * den - 2 ** (j + 1) * acc,
                            2 ** (j + 1) * math.comb(n, j) * c[n] * den))
-    return Mask._with_moments(pts, mu)
+    for j, w in zip(pts, solve_vandermonde_dual([-j for j in pts], mu)):
+        out[j - lo] = w
+    return Mask(lo, out)
 
 
 # ----------------------------------------------------------------------
@@ -240,8 +253,10 @@ def equivalence_witness(a: Mask, b: Mask) -> Mask | None:
     """A mask v with a == b + v*(1,-1)**(n+1), or None when there is none.
 
     Exists exactly when both masks have sum 2**-(n+1) for the same n and
-    equal moments mu_0..mu_n; then v is the quotient of a - b, whose
-    remainder is zero.
+    the same Taylor coefficients c_0..c_n of their symbols at z = 1 (see
+    reduce_mod_difference), that is, when a - b has a zero remainder.  Then
+    v is the quotient of a - b, formed as integers over the least common
+    denominator of a and b.
     """
     try:
         n = refined_degree(a)
@@ -249,9 +264,14 @@ def equivalence_witness(a: Mask, b: Mask) -> Mask | None:
             return None
     except NotRefinableError:
         return None
-    if a.moments(n) != b.moments(n):
+    (na, da), (nb, db) = _common_denominator(a.coeffs), _common_denominator(b.coeffs)
+    ta, tb = _taylor_sums(a.offset, na, n), _taylor_sums(b.offset, nb, n)
+    if any(x * db != y * da for x, y in zip(ta, tb)):
         return None
-    return reduce_mod_difference(a - b, n).quotient
+    den = math.lcm(da, db)
+    return _quotient(n, min(a.offset, b.offset), max(a.support_max, b.support_max), den,
+                     (a.offset, [x * (den // da) for x in na]),
+                     (b.offset, [-y * (den // db) for y in nb]))
 
 
 def masks_equivalent(a: Mask, b: Mask) -> bool:

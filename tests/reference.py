@@ -1,17 +1,20 @@
-"""Slow, independent routes kept as oracles for the moment-based library code.
+"""Slow, independent routes kept as oracles for the library code.
 
-Each function is a direct transcription of the refinement relation rather
-than of its moment form: per-shift Taylor translates, the derivative
-recursion, division by (1,-1)**(n+1) through elimination, a cascade over
-Fraction matrices, dense Gaussian elimination on the shifted-column
-system, and render-csv's table with one Taylor-shifted polynomial per
-part.  The package's Matrix is read-only, so matrices here are built
+Most functions are a direct transcription of the refinement relation
+rather than of its moment form: per-shift Taylor translates, the
+derivative recursion, division by (1,-1)**(n+1) through elimination, a
+cascade over Fraction matrices, dense Gaussian elimination on the
+shifted-column system, and render-csv's table with one Taylor-shifted
+polynomial per part.  reduce_by_moments divides through the moments, a
+second oracle for the library's division through Taylor coefficients at
+z = 1.  The package's Matrix is read-only, so matrices here are built
 through the small helpers from_rows, from_columns and identity.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 from refinemask import (
@@ -25,6 +28,7 @@ from refinemask import (
     as_rational,
     difference_power,
     refined_degree,
+    solve_vandermonde_dual,
 )
 
 
@@ -93,6 +97,22 @@ def reduce_mod_difference(m: Mask, n: int) -> ReducedMask:
         step = Mask.delta(remainder.support_max - (n + 1), c)
         quotient = quotient + step
         remainder = remainder - step.convolve(divisor)
+    return ReducedMask(remainder, quotient)
+
+
+def reduce_by_moments(m: Mask, n: int) -> ReducedMask:
+    """Divide a mask by (1,-1)**(n+1) through its moments.
+
+    A multiple of (1,-1)**(n+1) is a mask whose moments mu_0..mu_n vanish,
+    so the remainder is the mask on {0..n} with the moments of m (a dual
+    Vandermonde solve), and the quotient is n+1 Fraction prefix sums of
+    m - remainder.
+    """
+    weights = solve_vandermonde_dual([-j for j in range(n + 1)], m.moments(n))
+    remainder = Mask(0, weights)
+    quotient = m - remainder
+    for _ in range(n + 1):
+        quotient = Mask(quotient.offset, accumulate(quotient.coeffs))
     return ReducedMask(remainder, quotient)
 
 

@@ -9,6 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 from refinemask import Mask, Polynomial, reduce_mod_difference, refined_degree
+from refinemask import cli
 from refinemask.cli import main
 import reference
 from util import rand_fraction, rand_mask, rand_poly, rand_valid_mask
@@ -134,6 +135,15 @@ def test_equiv_far_apart_classes_fail_at_once():
     code, out, err = run_bounded("equiv", "0:1/4", f"{FAR}:1/4")
     assert (code, out) == (1, "")
     assert "not equivalent" in err
+
+
+@pytest.mark.parametrize("far", [10 ** 12, 10 ** 30])
+def test_equiv_far_apart_equivalent_pair_is_too_wide(far):
+    # both degree 0 with equal c_0, so equivalent, but the witness would be
+    # `far` entries wide: a domain error, not a run out of memory
+    code, out, err = run_bounded("equiv", "0:1/2", f"{far}:1/2")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "too wide for a dense mask" in err
 
 
 def test_reduce(capsys):
@@ -293,6 +303,30 @@ def test_render_csv_io_error(tmp_path, capsys):
                        "--out", str(missing))
     assert code == 3
     assert "error" in err
+
+
+def test_render_csv_missing_directory_fails_before_the_table(tmp_path, capsys, monkeypatch):
+    def no_table(value):
+        raise AssertionError("table computed before the output was checked")
+
+    monkeypatch.setattr(cli, "_float_cell", no_table)
+    missing = tmp_path / "no" / "f.csv"
+    code, out, err = run(capsys, "render-csv", BSPLINE_TEXT, "--out", str(missing))
+    assert (code, out) == (3, "")
+    assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+
+
+def test_render_csv_later_failure_writes_no_file(tmp_path, capsys):
+    argv = ["render-csv", "0:1/2", "--t-max", "1" + "0" * 400, "--samples", "2"]
+    fresh = tmp_path / "fresh.csv"
+    code, out, _ = run(capsys, *argv, "--out", str(fresh))
+    assert (code, out) == (1, "")
+    assert not fresh.exists()
+    kept = tmp_path / "kept.csv"
+    kept.write_text("old contents\n")
+    code, out, _ = run(capsys, *argv, "--out", str(kept))
+    assert (code, out) == (1, "")
+    assert kept.read_text() == "old contents\n"
 
 
 def test_render_csv_matches_per_part_route(capsys):

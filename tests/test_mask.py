@@ -1,6 +1,8 @@
 """Mask storage, arithmetic, and division by powers of (1,-1)."""
 
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -13,7 +15,8 @@ from refinemask import (
     reduce_mod_difference,
     refined_degree,
 )
-from util import rand_mask, rand_valid_mask
+import reference
+from util import rand_fraction, rand_mask, rand_valid_mask
 
 BSPLINE = Mask.parse("0:1/64,3/64,3/64,1/64")
 
@@ -219,6 +222,39 @@ def test_reduce_reconstruction_random():
         if not remainder.is_zero:
             assert remainder.support_min >= 0
             assert remainder.support_max <= n
+
+
+def test_reduce_matches_moment_route_far_from_origin():
+    rng = random.Random(79)
+    for _ in range(150):
+        m = rand_mask(rng, max_width=12).translate(rng.randint(-1000, 1000))
+        n = rng.randint(0, 10)
+        assert reduce_mod_difference(m, n) == reference.reduce_by_moments(m, n)
+
+
+def test_reduce_sparse_wide_mask():
+    # width 10**4, a few nonzero entries: remainder and quotient rebuild it
+    rng = random.Random(83)
+    coeffs = [F(0)] * 10 ** 4
+    for j in [0, 10 ** 4 - 1] + rng.sample(range(10 ** 4), 20):
+        coeffs[j] = rand_fraction(rng, 20, 20, nonzero=True)
+    m = Mask(-123, coeffs)
+    for n in (0, 4, 9):
+        remainder, quotient = reduce_mod_difference(m, n)
+        assert remainder.is_zero or 0 <= remainder.support_min <= remainder.support_max <= n
+        assert remainder + quotient.convolve(difference_power(n + 1)) == m
+
+
+def test_reduce_deep_degree_returns_at_once():
+    # n = 1199 on one coefficient: the Taylor sums stop after c_0, so the
+    # remainder is the mask itself; a 10 s timeout in a child process
+    # catches a route whose cost grows with n
+    script = ("from refinemask import Mask, reduce_mod_difference\n"
+              "m = Mask.parse(f'0:1/{2 ** 1200}')\n"
+              "print(*reduce_mod_difference(m, 1199), sep='\\n')\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"0:1/{2 ** 1200}\n0:0\n", "")
 
 
 def test_canonical_after_ops_random():
