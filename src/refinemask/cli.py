@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .algebra import _parse_int, parse_rational
 from .exceptions import ParseError, RefineMaskError
-from .mask import Mask, refined_degree
+from .mask import Mask, _taylor_remainder, refined_degree
 from .polynomial import Polynomial
 from .refinement import (
     cascade,
@@ -85,7 +85,7 @@ def _cmd_equiv(args) -> int:
 
 def _cmd_reduce(args) -> int:
     m = Mask.parse(args.mask)
-    print(mask_from_poly(poly_from_mask(m)))
+    print(_taylor_remainder(m, refined_degree(m))[0])
     return EXIT_OK
 
 

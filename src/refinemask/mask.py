@@ -16,7 +16,7 @@ import math
 import re
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 from .algebra import _common_denominator, _parse_int, as_rational, parse_rational
 from .exceptions import NotRefinableError, ParseError
@@ -216,24 +216,6 @@ def difference_power(n: int) -> Mask:
     return Mask(0, [Fraction((-1) ** k * math.comb(n, k)) for k in range(n + 1)])
 
 
-def _taylor_sums(offset: int, nums: Sequence[int], n: int) -> list:
-    """Taylor coefficients at z = 1 of the symbol sum_j nums[j - offset] * z**j.
-
-    c_k = sum_j nums[j - offset] * C(j, k) for k = 0..n is the coefficient
-    of (z - 1)**k.  C(j, k) is the generalised binomial, an integer for
-    negative j too, from C(j, k+1) = C(j, k) * (j - k) / (k + 1); it stops
-    at the first zero.
-    """
-    sums = [0] * (n + 1)
-    for j, term in enumerate(nums, start=offset):
-        for k in range(n + 1):
-            if not term:
-                break
-            sums[k] += term
-            term = term * (j - k) // (k + 1)
-    return sums
-
-
 def _zeros(width: int, what: str) -> list:
     """A dense list of width zeros; a width too large to allocate is a ValueError."""
     try:
@@ -260,6 +242,30 @@ def _quotient(n: int, lo: int, hi: int, den: int, *parts) -> Mask:
     return Mask(lo, [Fraction(a, den) if a else zero for a in out])
 
 
+def _taylor_remainder(m: Mask, n: int) -> tuple:
+    """m modulo (1,-1)**(n+1) as (remainder, nums, den), m_j = nums[j - offset] / den.
+
+    In the symbol m(z) = sum_j m_j * z**j the divisor is (1 - z)**(n+1), so
+    the remainder, supported in {0..n}, is the Taylor polynomial of m at
+    z = 1: r(z) = sum_k c_k * (z - 1)**k, c_k = sum_j m_j * C(j, k), by
+    Horner.  C(j, k+1) = C(j, k) * (j - k) / (k + 1) is exact for negative
+    j too and stops at the first zero.
+    """
+    nums, den = _common_denominator(m.coeffs)
+    sums = [0] * (n + 1)
+    for j, term in enumerate(nums, start=m.offset):
+        for k in range(n + 1):
+            if not term:
+                break
+            sums[k] += term
+            term = term * (j - k) // (k + 1)
+    top = max((k for k, c in enumerate(sums) if c), default=-1)
+    rem = []
+    for c in reversed(sums[:top + 1]):  # rem <- rem * (z - 1) + c
+        rem = [a - b for a, b in zip([c] + rem, rem + [0])]
+    return Mask(0, [Fraction(a, den) for a in rem]), nums, den
+
+
 class ReducedMask(NamedTuple):
     remainder: Mask
     quotient: Mask
@@ -272,23 +278,12 @@ def reduce_mod_difference(m: Mask, n: int) -> ReducedMask:
     {0, ..., n} and m == remainder + quotient * difference_power(n+1).
     The remainder with that support is unique, so it canonically
     represents the class of m modulo multiples of (1,-1)**(n+1).
-
-    In the symbol m(z) = sum_j m_j * z**j the divisor is (1 - z)**(n+1),
-    so the remainder is the Taylor polynomial of m at z = 1 to order n,
-    r(z) = sum_k c_k * (z - 1)**k with c_k = sum_j m_j * C(j, k), expanded
-    by Horner.  The c_k are integers over the denominator of m, so is
-    m - r, and the quotient is n+1 prefix sums of those integers.
     """
     if n < 0:
         raise ValueError(f"target degree must be nonnegative, got {n}")
     if m.is_zero:
         return ReducedMask(Mask.zero(), Mask.zero())
-    nums, den = _common_denominator(m.coeffs)
-    sums = _taylor_sums(m.offset, nums, n)
-    top = max((k for k, c in enumerate(sums) if c), default=-1)
-    rem = []
-    for c in reversed(sums[:top + 1]):  # rem <- rem * (z - 1) + c
-        rem = [a - b for a, b in zip([c] + rem, rem + [0])]
-    quotient = _quotient(n, min(m.offset, 0), max(m.support_max, n), den,
-                         (m.offset, nums), (0, [-a for a in rem]))
-    return ReducedMask(Mask(0, [Fraction(a, den) for a in rem]), quotient)
+    rem, nums, den = _taylor_remainder(m, n)
+    quotient = _quotient(n, min(m.offset, 0), max(m.support_max, n), den, (m.offset, nums),
+                         (rem.offset, [-c.numerator * (den // c.denominator) for c in rem.coeffs]))
+    return ReducedMask(rem, quotient)

@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .algebra import Matrix, _common_denominator, as_rational, solve_vandermonde_dual
 from .exceptions import NotRefinableError
-from .mask import Mask, _quotient, _taylor_sums, _zeros, difference_power, refined_degree
+from .mask import Mask, _quotient, _taylor_remainder, _zeros, difference_power, refined_degree
 from .polynomial import Polynomial
 
 
@@ -249,25 +249,30 @@ def extend_mask(m: Mask, v: Mask, n: int) -> Mask:
     return m + v.convolve(difference_power(n + 1))
 
 
-def equivalence_witness(a: Mask, b: Mask) -> Mask | None:
-    """A mask v with a == b + v*(1,-1)**(n+1), or None when there is none.
-
-    Exists exactly when both masks have sum 2**-(n+1) for the same n and
-    the same Taylor coefficients c_0..c_n of their symbols at z = 1 (see
-    reduce_mod_difference), that is, when a - b has a zero remainder.  Then
-    v is the quotient of a - b, formed as integers over the least common
-    denominator of a and b.
-    """
+def _same_class(a: Mask, b: Mask) -> tuple | None:
+    """n and a, b as (nums, den) when both refine one degree-n polynomial, else None."""
     try:
         n = refined_degree(a)
         if refined_degree(b) != n:
             return None
     except NotRefinableError:
         return None
-    (na, da), (nb, db) = _common_denominator(a.coeffs), _common_denominator(b.coeffs)
-    ta, tb = _taylor_sums(a.offset, na, n), _taylor_sums(b.offset, nb, n)
-    if any(x * db != y * da for x, y in zip(ta, tb)):
+    ra, *pa = _taylor_remainder(a, n)
+    rb, *pb = _taylor_remainder(b, n)
+    return (n, pa, pb) if ra == rb else None
+
+
+def equivalence_witness(a: Mask, b: Mask) -> Mask | None:
+    """A mask v with a == b + v*(1,-1)**(n+1), or None when there is none.
+
+    Exists exactly when both masks refine one polynomial of degree n, that
+    is when their remainders modulo (1,-1)**(n+1) agree.  Then v is the
+    quotient of a - b, as integers over the lcm of their denominators.
+    """
+    same = _same_class(a, b)
+    if same is None:
         return None
+    n, (na, da), (nb, db) = same
     den = math.lcm(da, db)
     return _quotient(n, min(a.offset, b.offset), max(a.support_max, b.support_max), den,
                      (a.offset, [x * (den // da) for x in na]),
@@ -276,7 +281,7 @@ def equivalence_witness(a: Mask, b: Mask) -> Mask | None:
 
 def masks_equivalent(a: Mask, b: Mask) -> bool:
     """Do a and b refine the same polynomial (same degree, same class)?"""
-    return equivalence_witness(a, b) is not None
+    return _same_class(a, b) is not None
 
 
 # ----------------------------------------------------------------------

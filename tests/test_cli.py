@@ -8,7 +8,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from refinemask import Mask, Polynomial, reduce_mod_difference, refined_degree
+from refinemask import (
+    Mask,
+    Polynomial,
+    mask_from_poly,
+    poly_from_mask,
+    reduce_mod_difference,
+    refined_degree,
+)
 from refinemask import cli
 from refinemask.cli import main
 import reference
@@ -155,6 +162,13 @@ def test_reduce_far_offset_builds_no_quotient():
     assert run_bounded("reduce", f"{FAR}:1/2") == (0, "0:1/2\n", "")
 
 
+def test_reduce_deep_degree_at_once():
+    # n = 1199: the mask is already on 0..n, and the Taylor remainder finds
+    # that without converting through the refined polynomial
+    text = f"0:1/{2 ** 1200}"
+    assert run_bounded("reduce", text, seconds=10) == (0, f"{text}\n", "")
+
+
 def test_reduce_bad_sum(capsys):
     code, _, err = run(capsys, "reduce", "0:1,1")
     assert code == 1
@@ -167,6 +181,7 @@ def test_reduce_matches_remainder(capsys):
     for _ in range(200):
         m = rand_valid_mask(rng, max_degree=8, max_width=12).translate(rng.randint(-30, 30))
         remainder = reduce_mod_difference(m, refined_degree(m)).remainder
+        assert mask_from_poly(poly_from_mask(m)) == remainder
         assert run(capsys, "reduce", "--", str(m)) == (0, f"{remainder}\n", "")
 
 

@@ -402,6 +402,8 @@ def test_masks_equivalent_examples():
     assert equivalence_witness(BSPLINE, reduced) == Mask.delta(0, F(-1, 64))
     assert masks_equivalent(BSPLINE, BSPLINE)
     assert equivalence_witness(BSPLINE, BSPLINE) == Mask.zero()
+    # equivalent, though a witness would be 10**30 entries wide
+    assert masks_equivalent(Mask.parse("0:1/2"), Mask.parse(f"{10 ** 30}:1/2"))
 
 
 def test_masks_not_equivalent():
