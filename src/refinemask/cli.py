@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .algebra import _parse_int, parse_rational
 from .exceptions import ParseError, RefineMaskError
-from .mask import Mask, _taylor_remainder, refined_degree
+from .mask import Mask, _mask_over, _taylor_remainder, refined_degree
 from .polynomial import Polynomial
 from .refinement import (
     cascade,
@@ -85,7 +85,8 @@ def _cmd_equiv(args) -> int:
 
 def _cmd_reduce(args) -> int:
     m = Mask.parse(args.mask)
-    print(_taylor_remainder(m, refined_degree(m))[0])
+    rem, _, den = _taylor_remainder(m, refined_degree(m))
+    print(_mask_over(0, rem, den))
     return EXIT_OK
 
 

@@ -238,18 +238,22 @@ def _quotient(n: int, lo: int, hi: int, den: int, *parts) -> Mask:
             out[i] += a
     for _ in range(n + 1):
         out = list(accumulate(out))
+    return _mask_over(lo, out, den)
+
+
+def _mask_over(offset: int, nums: list, den: int) -> Mask:
     zero = Fraction(0)
-    return Mask(lo, [Fraction(a, den) if a else zero for a in out])
+    return Mask(offset, [Fraction(a, den) if a else zero for a in nums])
 
 
 def _taylor_remainder(m: Mask, n: int) -> tuple:
-    """m modulo (1,-1)**(n+1) as (remainder, nums, den), m_j = nums[j - offset] / den.
+    """m modulo (1,-1)**(n+1) as (remainder, nums, den), integers over den.
 
-    In the symbol m(z) = sum_j m_j * z**j the divisor is (1 - z)**(n+1), so
-    the remainder, supported in {0..n}, is the Taylor polynomial of m at
-    z = 1: r(z) = sum_k c_k * (z - 1)**k, c_k = sum_j m_j * C(j, k), by
-    Horner.  C(j, k+1) = C(j, k) * (j - k) / (k + 1) is exact for negative
-    j too and stops at the first zero.
+    m_j = nums[j - offset] / den.  In the symbol m(z) = sum_j m_j * z**j the
+    divisor is (1 - z)**(n+1), so the remainder, on 0..n with a nonzero last
+    entry, is the Taylor polynomial of m at z = 1: r(z) = sum_k c_k * (z - 1)**k,
+    c_k = sum_j m_j * C(j, k), by Horner.  C(j, k+1) = C(j, k) * (j - k) / (k + 1)
+    is exact for negative j too and stops at the first zero.
     """
     nums, den = _common_denominator(m.coeffs)
     sums = [0] * (n + 1)
@@ -263,7 +267,7 @@ def _taylor_remainder(m: Mask, n: int) -> tuple:
     rem = []
     for c in reversed(sums[:top + 1]):  # rem <- rem * (z - 1) + c
         rem = [a - b for a, b in zip([c] + rem, rem + [0])]
-    return Mask(0, [Fraction(a, den) for a in rem]), nums, den
+    return rem, nums, den
 
 
 class ReducedMask(NamedTuple):
@@ -285,5 +289,5 @@ def reduce_mod_difference(m: Mask, n: int) -> ReducedMask:
         return ReducedMask(Mask.zero(), Mask.zero())
     rem, nums, den = _taylor_remainder(m, n)
     quotient = _quotient(n, min(m.offset, 0), max(m.support_max, n), den, (m.offset, nums),
-                         (rem.offset, [-c.numerator * (den // c.denominator) for c in rem.coeffs]))
-    return ReducedMask(rem, quotient)
+                         (0, [-a for a in rem]))
+    return ReducedMask(_mask_over(0, rem, den), quotient)

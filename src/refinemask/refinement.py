@@ -57,6 +57,20 @@ def verify_refines(m: Mask, p: Polynomial) -> bool:
     return refine_apply(m, p) == p
 
 
+def _append(x: list, s: int, t: int, e: int) -> int:
+    """Append t / (s * e), e > 0, to the vector x / s; return the new s.
+
+    Lowered by their gcd, t and e are coprime, so (x, s) free of common factors stays so.
+    """
+    g = math.gcd(t, e)
+    t, e = t // g, e // g
+    if e > 1:
+        x[:] = [a * e for a in x]
+        s *= e
+    x.append(t)
+    return s
+
+
 def poly_from_mask(m: Mask) -> Polynomial:
     """The monic polynomial refined by m.
 
@@ -67,24 +81,15 @@ def poly_from_mask(m: Mask) -> Polynomial:
 
         p_k = sum_{i>k} A_ki * p_i / (d - A_kk)
 
-    where A_kk / d = 2**(k-n) is never 1 below the top row.  The solve runs
-    on integer numerators over one denominator that shares no factor with
-    all of them; Fractions are built only for the answer.
+    where A_kk / d = 2**(k-n) is never 1 below the top row; the solve is in integers.
     """
     n = refined_degree(m)
     d, rows = _integer_operator(m, n)
-    x, s = [0] * n + [1], 1  # p = x / s
+    x, s = [1], 1  # p_n, p_(n-1), ... = x / s
     for k in range(n - 1, -1, -1):
         (diag, _), *rest = rows[k]
-        t, e = sum(a * x[i] for a, i in rest), d - diag
-        g = math.gcd(t, e)
-        # p_k = (t/g) / (s * e/g); with t/g and e/g coprime and (x, s) free
-        # of common factors, (x, s) over the new denominator stays so
-        x[k], e = t // g, e // g
-        if e > 1:
-            x[k + 1:] = [a * e for a in x[k + 1:]]
-            s *= e
-    return Polynomial(Fraction(a, s) for a in x)
+        s = _append(x, s, sum(a * x[n - i] for a, i in rest), d - diag)
+    return Polynomial(Fraction(a, s) for a in reversed(x))
 
 
 def mask_from_poly(p: Polynomial) -> Mask:
@@ -118,14 +123,13 @@ def mask_from_poly_at_nodes(p: Polynomial, nodes: Sequence[int]) -> Mask:
         raise ValueError("nodes must be distinct")
     lo = min(pts)
     out = _zeros(max(pts) - lo + 1, "nodes span")
-    c, _ = _common_denominator(p.coeffs)  # the relation is linear in p
-    mu = []
+    c, _ = _common_denominator((-p if p.coeffs[-1] < 0 else p).coeffs)  # linear in p
+    mu, s = [], 1  # mu_0, mu_1, ... = mu / s
     for j in range(n, -1, -1):
-        nums, den = _common_denominator(mu)
-        acc = sum(math.comb(j + r, j) * a * c[j + r] for r, a in enumerate(nums) if c[j + r])
-        mu.append(Fraction(c[j] * den - 2 ** (j + 1) * acc,
-                           2 ** (j + 1) * math.comb(n, j) * c[n] * den))
-    for j, w in zip(pts, solve_vandermonde_dual([-j for j in pts], mu)):
+        acc = sum(math.comb(j + r, j) * a * c[j + r] for r, a in enumerate(mu) if c[j + r])
+        s = _append(mu, s, c[j] * s - 2 ** (j + 1) * acc, 2 ** (j + 1) * math.comb(n, j) * c[n])
+    weights = solve_vandermonde_dual([-j for j in pts], [Fraction(a, s) for a in mu])
+    for j, w in zip(pts, weights):
         out[j - lo] = w
     return Mask(lo, out)
 
@@ -257,9 +261,10 @@ def _same_class(a: Mask, b: Mask) -> tuple | None:
             return None
     except NotRefinableError:
         return None
-    ra, *pa = _taylor_remainder(a, n)
-    rb, *pb = _taylor_remainder(b, n)
-    return (n, pa, pb) if ra == rb else None
+    ra, na, da = _taylor_remainder(a, n)
+    rb, nb, db = _taylor_remainder(b, n)
+    same = len(ra) == len(rb) and all(x * db == y * da for x, y in zip(ra, rb))
+    return (n, (na, da), (nb, db)) if same else None
 
 
 def equivalence_witness(a: Mask, b: Mask) -> Mask | None:

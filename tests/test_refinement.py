@@ -105,6 +105,20 @@ def test_moment_routes_match_reference():
             assert equivalence_witness(a, b) == reference.equivalence_witness(a, b)
 
 
+def test_deep_degrees_match_reference():
+    # the running denominator of both triangular solves over many rows;
+    # every other polynomial has a negative leading coefficient
+    rng = random.Random(149)
+    for k in range(12):
+        p = rand_poly(rng, 9 + k * 15 // 11)
+        if (p.coeffs[-1] < 0) != (k % 2 == 1):
+            p = -p
+        nodes = rng.sample(range(-40, 41), p.degree + 1)
+        assert mask_from_poly_at_nodes(p, nodes) == reference.mask_from_poly_at_nodes(p, nodes)
+    p = rand_poly(rng, 64)
+    assert poly_from_mask(mask_from_poly(p)) == p.monic()
+
+
 # ----------------------------------------------------------------------
 # mask -> polynomial
 
@@ -402,6 +416,8 @@ def test_masks_equivalent_examples():
     assert equivalence_witness(BSPLINE, reduced) == Mask.delta(0, F(-1, 64))
     assert masks_equivalent(BSPLINE, BSPLINE)
     assert equivalence_witness(BSPLINE, BSPLINE) == Mask.zero()
+    # one class over coprime denominators, 64 against 448
+    assert masks_equivalent(extend_mask(BSPLINE, Mask.delta(2, F(1, 7)), 2), BSPLINE)
     # equivalent, though a witness would be 10**30 entries wide
     assert masks_equivalent(Mask.parse("0:1/2"), Mask.parse(f"{10 ** 30}:1/2"))
 
