@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .exceptions import ParseError, SingularMatrixError
 

@@ -122,11 +122,14 @@ def _cmd_render_csv(args) -> int:
     t_max = parse_rational(args.t_max)
     if args.samples < 1:
         raise RefineMaskError(f"samples must be positive, got {args.samples}")
-    if args.samples == 1:
-        grid = [t_min]
-    else:
-        width = t_max - t_min
-        grid = [t_min + width * i / (args.samples - 1) for i in range(args.samples)]
+    try:  # size the grid before filling it, so a count beyond memory fails at once
+        grid = [t_min] * args.samples
+    except (OverflowError, MemoryError):
+        raise RefineMaskError(
+            f"--samples {args.samples}: too many grid points to hold in memory") from None
+    width = t_max - t_min
+    for i in range(1, args.samples):
+        grid[i] = t_min + width * i / (args.samples - 1)
     if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or os.curdir):
         # fail before the table is computed; the file itself is opened only
         # once the table is, so a later failure leaves no file behind

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import math
 import re
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Iterator, NamedTuple
 
 from .algebra import _common_denominator, _parse_int, as_rational, parse_rational
 from .exceptions import NotRefinableError, ParseError
@@ -270,7 +271,10 @@ def _taylor_remainder(m: Mask, n: int) -> tuple:
     return rem, nums, den
 
 
-class ReducedMask(NamedTuple):
+class ReducedMask(namedtuple("ReducedMask", "remainder quotient")):
+    """The (remainder, quotient) pair of reduce_mod_difference, a tuple."""
+
+    __slots__ = ()
     remainder: Mask
     quotient: Mask
 

@@ -11,8 +11,8 @@ polynomial 5/2 - 3t + t**2.  The zero polynomial prints as ``0``.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 from .algebra import as_rational, parse_rational
 from .exceptions import ParseError

@@ -13,10 +13,9 @@ claim can be checked by literal equality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
 
 from .algebra import Matrix, _common_denominator, as_rational, solve_vandermonde_dual
 from .exceptions import NotRefinableError
@@ -135,15 +134,68 @@ def mask_from_poly_at_nodes(p: Polynomial, nodes: Sequence[int]) -> Mask:
 
 
 # ----------------------------------------------------------------------
+# result records
+
+
+class _Record:
+    """An immutable record of the fields named in __slots__, like a frozen dataclass.
+
+    __init__ takes the fields in order, positionally or by name.  Records
+    are equal when they are of one class with equal fields; hash, repr,
+    copy, pickle and positional match patterns go by the fields.
+    Assigning or deleting any attribute raises AttributeError.
+    """
+
+    __slots__ = ()
+    __match_args__ = ()  # the field names in order, inherited ones first
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ += cls.__dict__.get("__slots__", ())
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self.__match_args__
+        values = dict(zip(names, args), **kwargs)
+        if len(args) + len(kwargs) != len(names) or values.keys() != set(names):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}")
+        for name in names:
+            object.__setattr__(self, name, values[name])
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+# ----------------------------------------------------------------------
 # the admissible integration constant
 
 
-@dataclass(frozen=True)
-class IntegrationConstant:
+class IntegrationConstant(_Record):
     """Outcome of asking which constant makes an antiderivative refinable.
 
     kind is a Kind; value is set only for the unique case.
     """
+
+    __slots__ = ("kind", "value")
 
     class Kind(str, Enum):
         UNIQUE = "unique"
@@ -151,10 +203,10 @@ class IntegrationConstant:
         NONE = "none"
 
     kind: Kind
-    value: Fraction | None = None
+    value: Fraction | None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "kind", self.Kind(self.kind))
+    def __init__(self, kind: str, value: Fraction | None = None) -> None:
+        super().__init__(self.Kind(kind), value)
 
     @classmethod
     def unique(cls, value) -> "IntegrationConstant":
@@ -207,20 +259,19 @@ def antiderivative_constant(m: Mask, phi: Polynomial) -> IntegrationConstant:
 # verified pairs
 
 
-@dataclass(frozen=True)
-class RefinablePair:
+class RefinablePair(_Record):
     """A mask and a nonzero polynomial, checked to refine at construction."""
 
+    __slots__ = ("mask", "poly")
     mask: Mask
     poly: Polynomial
 
-    def __post_init__(self) -> None:
-        if self.poly.is_zero:
+    def __init__(self, mask: Mask, poly: Polynomial) -> None:
+        if poly.is_zero:
             raise NotRefinableError("zero polynomial is refined by every mask")
-        if not verify_refines(self.mask, self.poly):
-            raise NotRefinableError(
-                f"mask {self.mask} does not refine polynomial {self.poly}"
-            )
+        if not verify_refines(mask, poly):
+            raise NotRefinableError(f"mask {mask} does not refine polynomial {poly}")
+        super().__init__(mask, poly)
 
     def derivative(self) -> "RefinablePair":
         """Differentiate the polynomial; the mask doubles."""
@@ -309,8 +360,7 @@ def refinement_matrix(m: Mask, n: int) -> Matrix:
     return Matrix(n + 1, n + 1, entries)
 
 
-@dataclass(frozen=True)
-class CascadeReport:
+class CascadeReport(_Record):
     """Result of a cascade run.
 
     final_delta is the sup-norm coefficient change of the last step taken;
@@ -318,6 +368,7 @@ class CascadeReport:
     within the iteration budget.
     """
 
+    __slots__ = ("result", "iterations", "final_delta", "converged")
     result: Polynomial
     iterations: int
     final_delta: Fraction

@@ -1,10 +1,12 @@
 """Command line contract: output strings, exit codes, round trips."""
 
+import difflib
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,7 @@ from refinemask import (
 )
 from refinemask import cli
 from refinemask.cli import main
+import golden_cli
 import reference
 from util import rand_fraction, rand_mask, rand_poly, rand_valid_mask
 
@@ -312,6 +315,17 @@ def test_render_csv_single_sample(capsys):
     assert len(out.splitlines()) == 2
 
 
+@pytest.mark.parametrize("samples", ["99999999999999999999", "100000000"])
+def test_render_csv_samples_beyond_memory(samples):
+    # a grid that cannot be allocated is one error line and exit 1 at once,
+    # not a MemoryError traceback after filling the address space
+    code, out, err = run_bounded("render-csv", "0:1/4,1/4", "--samples", samples,
+                                 seconds=30, memory=2 ** 29)
+    assert (code, out) == (1, "")
+    assert "Traceback" not in err
+    assert err == f"error: --samples {samples}: too many grid points to hold in memory\n"
+
+
 def test_render_csv_io_error(tmp_path, capsys):
     missing = tmp_path / "no" / "such" / "dir" / "f.csv"
     code, _, err = run(capsys, "render-csv", "0:1/16,3/16,3/16,1/16",
@@ -444,3 +458,15 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "5/2,-3,1\n"
+
+
+def test_golden_transcript():
+    # every argv of the seeded corpus prints what the committed file says,
+    # byte for byte; see golden_cli.py for how the file is made
+    expected = (Path(__file__).parent / "golden_cli.txt").read_text(encoding="utf-8")
+    got = golden_cli.transcript()
+    if got != expected:
+        diff = difflib.unified_diff(expected.splitlines(keepends=True),
+                                    got.splitlines(keepends=True), "golden_cli.txt", "now")
+        pytest.fail("CLI output differs from the golden transcript:\n" + "".join(diff),
+                    pytrace=False)

@@ -6,10 +6,12 @@ from fractions import Fraction as F
 import pytest
 
 from refinemask import (
+    CascadeReport,
     IntegrationConstant,
     Mask,
     NotRefinableError,
     Polynomial,
+    ReducedMask,
     RefinablePair,
     antiderivative_constant,
     cascade,
@@ -607,3 +609,129 @@ def test_cascade_contraction_envelope():
     for j in range(10, 20):
         ratio = errors[j + 1] / errors[j]
         assert F(2, 5) <= ratio <= F(3, 5)
+
+
+# ----------------------------------------------------------------------
+# the result records: value semantics pinned field by field
+
+
+def _records():
+    """One instance of each record class, with its fields in order."""
+    report = cascade(BSPLINE, Polynomial.monomial(2), max_iter=3)
+    return [
+        (IntegrationConstant.unique(3), (IntegrationConstant.Kind.UNIQUE, F(3))),
+        (IntegrationConstant.arbitrary(), (IntegrationConstant.Kind.ARBITRARY, None)),
+        (RefinablePair(BSPLINE, QUAD), (BSPLINE, QUAD)),
+        (report, (Polynomial.parse("63/32,-21/8,1"), 3, F(15, 32), False)),
+        (reduce_mod_difference(BSPLINE, 2), (Mask.parse("0:1/32,0,3/32"), Mask.parse("0:-1/64"))),
+    ]
+
+
+def test_record_reprs():
+    assert [repr(r) for r, _ in _records()] == [
+        "IntegrationConstant(kind=<Kind.UNIQUE: 'unique'>, value=Fraction(3, 1))",
+        "IntegrationConstant(kind=<Kind.ARBITRARY: 'arbitrary'>, value=None)",
+        "RefinablePair(mask=Mask.parse('0:1/64,3/64,3/64,1/64'), "
+        "poly=Polynomial.parse('5/2,-3,1'))",
+        "CascadeReport(result=Polynomial.parse('63/32,-21/8,1'), iterations=3, "
+        "final_delta=Fraction(15, 32), converged=False)",
+        "ReducedMask(remainder=Mask.parse('0:1/32,0,3/32'), quotient=Mask.parse('0:-1/64'))",
+    ]
+    assert repr(IntegrationConstant.none()) == (
+        "IntegrationConstant(kind=<Kind.NONE: 'none'>, value=None)")
+
+
+def test_record_construction_in_field_order():
+    names = {IntegrationConstant: ("kind", "value"), RefinablePair: ("mask", "poly"),
+             CascadeReport: ("result", "iterations", "final_delta", "converged"),
+             ReducedMask: ("remainder", "quotient")}
+    for record, values in _records():
+        cls = type(record)
+        assert tuple(getattr(record, name) for name in names[cls]) == values
+        assert cls(*values) == record
+        assert cls(**dict(zip(names[cls], values))) == record
+        assert cls(values[0], **dict(zip(names[cls][1:], values[1:]))) == record
+        with pytest.raises(TypeError):
+            cls(*values, values[-1])
+        with pytest.raises(TypeError):
+            cls(*values, **{names[cls][0]: values[0]})
+        with pytest.raises(TypeError):
+            cls(*values, extra=1)
+    assert IntegrationConstant(kind="arbitrary") == IntegrationConstant.arbitrary()
+    for cls in (RefinablePair, CascadeReport, ReducedMask):
+        with pytest.raises(TypeError):
+            cls(BSPLINE)
+
+
+def test_record_equality():
+    records = _records()
+    for i, (record, values) in enumerate(records):
+        cls = type(record)
+        twin = cls(*values)
+        assert record == twin and not record != twin
+        assert hash(record) == hash(twin)
+        for other, _ in records[:i] + records[i + 1:]:
+            assert record != other and not record == other
+        # a record is not equal to a tuple of its fields; ReducedMask is one
+        assert (record == values) is (cls is ReducedMask)
+        assert (record != values) is (cls is not ReducedMask)
+    for record, values in records[:4]:
+        # == holds within one class only: a subclass with equal fields differs
+        subclass = type("Sub", (type(record),), {"__slots__": ()})
+        twin = subclass(*values)
+        assert record != twin and twin != record and not record == twin
+        assert record.__eq__(values) is NotImplemented
+    different = [IntegrationConstant.unique(4), RefinablePair(BSPLINE.scale(2), QUAD.derivative()),
+                 cascade(BSPLINE, Polynomial.monomial(2), max_iter=4),
+                 reduce_mod_difference(BSPLINE, 3)]
+    for record, other in zip([records[0][0], *(r for r, _ in records[2:])], different):
+        assert record != other and not record == other
+
+
+def test_records_are_hashable():
+    first = IntegrationConstant.unique(3)
+    assert hash(first) == hash(IntegrationConstant(IntegrationConstant.Kind.UNIQUE, F(3)))
+    assert len({first, IntegrationConstant.unique(F(6, 2)), IntegrationConstant.none()}) == 2
+    assert {record: i for i, (record, _) in enumerate(_records())}[_records()[3][0]] == 3
+    remainder, quotient = _records()[4][1]
+    assert hash(reduce_mod_difference(BSPLINE, 2)) == hash((remainder, quotient))
+
+
+def test_records_are_immutable():
+    for record, values in _records():
+        for name in ("kind", "value", "mask", "poly", "result", "iterations",
+                     "final_delta", "converged", "remainder", "quotient", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert type(record)(*values) == record
+
+
+def test_reduced_mask_is_a_tuple():
+    reduced = reduce_mod_difference(BSPLINE, 2)
+    remainder, quotient = reduced
+    assert (remainder, quotient) == (reduced.remainder, reduced.quotient)
+    assert reduced[0] is reduced.remainder and reduced[1] is reduced.quotient
+    assert isinstance(reduced, tuple) and len(reduced) == 2
+    assert ReducedMask._fields == ("remainder", "quotient")
+    assert reduced._replace(quotient=Mask.zero()) == (remainder, Mask.zero())
+    assert reduced._asdict() == {"remainder": remainder, "quotient": quotient}
+
+
+def test_records_copy_pickle_and_match():
+    import copy
+    import pickle
+
+    for record, values in _records():
+        assert copy.copy(record) == record
+        assert copy.deepcopy(record) == record
+        assert pickle.loads(pickle.dumps(record)) == record
+        match record:
+            case IntegrationConstant(kind, value) | RefinablePair(kind, value) \
+                    | ReducedMask(kind, value):
+                assert (kind, value) == values
+            case CascadeReport(result, iterations, final_delta, converged):
+                assert (result, iterations, final_delta, converged) == values
+            case _:
+                raise AssertionError(f"no positional pattern matched {record!r}")
