@@ -1,7 +1,7 @@
 """Command line front end.
 
 Exit codes are a stable scripting contract: 0 success, 1 domain failure
-(an arithmetic precondition does not hold), 2 parse failure, 3 I/O error.
+(an arithmetic precondition fails or memory runs out), 2 parse failure, 3 I/O error.
 Every mask or polynomial printed here re-parses to an identical value.
 """
 
@@ -225,6 +225,9 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_DOMAIN
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -101,18 +101,20 @@ class Mask:
         return tuple(Fraction(s, den) for s in sums)
 
     def _moment_sums(self, k: int) -> tuple:
-        """The moments as integers over one positive denominator: (sums, den)."""
+        """The moments as integers over one positive denominator: (sums, den), no common factor."""
         if k < 0:
             raise ValueError(f"moment order must be nonnegative, got {k}")
-        nums, den = _common_denominator(self.coeffs)
+        den = math.lcm(*(v.denominator for v in self.coeffs))
         sums = [0] * (k + 1)
-        for j, term in enumerate(nums, start=self.offset):
+        for j, v in enumerate(self.coeffs, start=self.offset):
+            term = v.numerator * (den // v.denominator)  # m_j * den
             for r in range(k + 1):
                 if not term:
                     break
                 sums[r] += term
                 term *= -j
-        return sums, den
+        g = math.gcd(den, *sums)
+        return [a // g for a in sums], den // g
 
     # ------------------------------------------------------------------
     # arithmetic

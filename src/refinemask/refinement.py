@@ -23,32 +23,41 @@ from .mask import Mask, _quotient, _taylor_remainder, _zeros, difference_power, 
 from .polynomial import Polynomial
 
 
+def _row(sums: list, j: int, n: int):
+    """C(k, j) * sums[k-j] for k = j..n: row j of the operator without its 2**(j+1)."""
+    c = 1
+    yield sums[0]
+    for r in range(1, n - j + 1):
+        c = c * (j + r) // r  # C(j+r, j) from C(j+r-1, j), exact
+        yield c * sums[r]
+
+
 def _integer_operator(m: Mask, n: int) -> tuple:
     """The refinement operator on degree-<=n coefficients as (d, rows).
 
-    Entry (j, k) of the operator is 2**(j+1) * C(k,j) * mu_{k-j}; here it
-    is a / d with one positive denominator d, lowered by the content of
-    all numerators.  Row j lists the pairs (a, k), k >= j, whose moment is
-    nonzero, so the operator is upper triangular and sparse rows stay so.
+    Entry (j, k), 2**(j+1) times _row's, is a / d with one positive denominator
+    d, lowered by the content of all numerators.  Row j lists the pairs (a, k),
+    k >= j, whose moment is nonzero, so the operator is upper triangular.
     """
     sums, den = m._moment_sums(n)
-    rows = [[(2 ** (j + 1) * math.comb(k, j) * sums[k - j], k)
-             for k in range(j, n + 1) if sums[k - j]] for j in range(n + 1)]
+    rows = [[(a << (j + 1), k) for k, a in enumerate(_row(sums, j, n), start=j) if a]
+            for j in range(n + 1)]
     g = math.gcd(den, *(a for row in rows for a, _ in row))
     return den // g, [[(a // g, k) for a, k in row] for row in rows]
 
 
-def _apply(rows: list, x: list) -> list:
-    return [sum(a * x[k] for a, k in row) for row in rows]
-
-
 def refine_apply(m: Mask, p: Polynomial) -> Polynomial:
-    """Right-hand side of the refinement relation: 2 * sum_j m_j * p(2t - j)."""
+    """Right-hand side of the refinement relation: 2 * sum_j m_j * p(2t - j).
+
+    Each row of the operator is walked from the moment sums, and none is stored.
+    """
     if p.is_zero:
         return p
-    d, rows = _integer_operator(m, p.degree)
+    n = p.degree
+    sums, den = m._moment_sums(n)
     x, e = _common_denominator(p.coeffs)
-    return Polynomial(Fraction(y, d * e) for y in _apply(rows, x))
+    rows = (sum(a * b for a, b in zip(_row(sums, j, n), x[j:])) << (j + 1) for j in range(n + 1))
+    return Polynomial(Fraction(y, den * e) for y in rows)
 
 
 def verify_refines(m: Mask, p: Polynomial) -> bool:
@@ -80,14 +89,17 @@ def poly_from_mask(m: Mask) -> Polynomial:
 
         p_k = sum_{i>k} A_ki * p_i / (d - A_kk)
 
-    where A_kk / d = 2**(k-n) is never 1 below the top row; the solve is in integers.
+    where A_kk / d = 2**(k-n) is never 1 below the top row.  The solve is in
+    integers, and each row is walked from the moment sums, so none is stored.
     """
     n = refined_degree(m)
-    d, rows = _integer_operator(m, n)
+    sums, den = m._moment_sums(n)
     x, s = [1], 1  # p_n, p_(n-1), ... = x / s
     for k in range(n - 1, -1, -1):
-        (diag, _), *rest = rows[k]
-        s = _append(x, s, sum(a * x[n - i] for a, i in rest), d - diag)
+        row = _row(sums, k, n)
+        diag = next(row)
+        t = sum(a * b for a, b in zip(row, reversed(x)))
+        s = _append(x, s, t << (k + 1), den - (diag << (k + 1)))
     return Polynomial(Fraction(a, s) for a in reversed(x))
 
 
@@ -282,13 +294,10 @@ class RefinablePair(_Record):
     def antiderivative(self) -> "RefinablePair":
         """Integrate the polynomial; the mask halves.
 
-        The integration constant comes from antiderivative_constant; when
-        it is arbitrary the choice made here is 0.
+        The integration constant comes from antiderivative_constant, and it
+        is unique: the mask of a pair sums to 2**-(n+1), never 1.
         """
-        choice = antiderivative_constant(self.mask, self.poly)
-        if choice.kind is IntegrationConstant.Kind.NONE:
-            raise NotRefinableError("no integration constant makes the pair refinable")
-        c = choice.value if choice.is_unique else Fraction(0)
+        c = antiderivative_constant(self.mask, self.poly).value
         shifted = self.poly.antiderivative() + Polynomial((c,))
         return RefinablePair(self.mask.scale(Fraction(1, 2)), shifted)
 
@@ -399,7 +408,7 @@ def cascade(m: Mask, p0: Polynomial, max_iter: int = 200,
     d, rows = _integer_operator(m, n)
     x, s = _common_denominator(p0.coeffs + (Fraction(0),) * (n + 1 - len(p0.coeffs)))
     for step in range(1, max_iter + 1):
-        y = _apply(rows, x)
+        y = [sum(a * x[k] for a, k in row) for row in rows]
         diff = max(abs(b - d * a) for a, b in zip(x, y))
         x, s = y, s * d
         converged = diff * tol.denominator < tol.numerator * s

@@ -1,6 +1,7 @@
 """Command line contract: output strings, exit codes, round trips."""
 
 import difflib
+import hashlib
 import os
 import random
 import subprocess
@@ -170,6 +171,26 @@ def test_reduce_deep_degree_at_once():
     # that without converting through the refined polynomial
     text = f"0:1/{2 ** 1200}"
     assert run_bounded("reduce", text, seconds=10) == (0, f"{text}\n", "")
+
+
+def test_poly_from_mask_deep_degree_in_little_memory():
+    # n = 800: a stored operator would be 320 000 big integers; the row walk
+    # keeps the moment sums and the answer, well inside 128 MiB
+    code, out, err = run_bounded("poly-from-mask", f"1:1/{2 ** 801}", memory=2 ** 27, seconds=30)
+    assert (code, err) == (0, "")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "9a9d920a04aff8fcb82ad05729b25bff93f4cf9e43c4d56bb05f0f88d8414f2a"
+
+
+@pytest.mark.parametrize("argv", [
+    ("equiv", "0:1/2", "2000000:1/2"),
+    ("mask-from-poly", "1,1", "--nodes", "0,2000000"),
+])
+def test_out_of_memory_is_a_domain_failure(argv):
+    # each passes the width guard but builds 2 000 000 Fractions, more than
+    # 128 MiB holds: one error line and exit 1, not a traceback
+    code, out, err = run_bounded(*argv, memory=2 ** 27)
+    assert (code, out, err) == (1, "", "error: out of memory\n")
 
 
 def test_reduce_bad_sum(capsys):

@@ -422,6 +422,11 @@ def test_masks_equivalent_examples():
     assert masks_equivalent(extend_mask(BSPLINE, Mask.delta(2, F(1, 7)), 2), BSPLINE)
     # equivalent, though a witness would be 10**30 entries wide
     assert masks_equivalent(Mask.parse("0:1/2"), Mask.parse(f"{10 ** 30}:1/2"))
+    # both degree 2, refining t**2 and t**2 + t - 1/3: the remainders have
+    # different lengths, and a zip over the shorter would call them equal
+    a, b = Mask.parse("0:1/8"), Mask.parse("0:1/8,1/16,-1/16")
+    assert not masks_equivalent(a, b)
+    assert equivalence_witness(a, b) is None
 
 
 def test_masks_not_equivalent():
